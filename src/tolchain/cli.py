@@ -19,6 +19,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,8 +34,6 @@ from .model import (
     chain_document,
     parse_chain,
 )
-from .montecarlo import SigmaRule, batch_summary, histogram_csv, sample_chain, samples_csv
-from .synthesis import SynthesisConfig, synthesis_report_document, synthesize
 from .worstcase import InfeasibleToleranceError, it_budget, solve_unknown, verify_worst_case, worst_case
 
 __all__ = ["RunConfig", "build_parser", "main", "run"]
@@ -180,6 +179,13 @@ def run(cfg: RunConfig) -> int:
     Raises the underlying errors (I/O, syntax, validation, infeasibility);
     :func:`main` maps them to exit codes and stderr messages.
     """
+    # Flags first: a bad flag must not leave a partial export behind.
+    if cfg.command == "simulate":
+        if not (math.isfinite(cfg.coverage_sigmas) and cfg.coverage_sigmas > 0.0):
+            raise ValueError(f"--coverage must be finite and > 0, got {cfg.coverage_sigmas!r}")
+        if cfg.bins < 1:
+            raise ValueError(f"--bins must be >= 1, got {cfg.bins}")
+
     raw = cfg.chain_path.read_bytes()
     chain = parse_chain(raw.decode("utf-8"))
 
@@ -232,7 +238,11 @@ def run(cfg: RunConfig) -> int:
         }
 
     elif cfg.command == "simulate":
-        rule = SigmaRule(cfg.sigma_rule)
+        # Imported here so that the worst-case commands never load numpy or
+        # scipy; names are looked up on the module at each call.
+        from . import montecarlo
+
+        rule = montecarlo.SigmaRule(cfg.sigma_rule)
         # Deliberately no worker count here: parallelism cannot change the
         # results, so it is not configuration a reader needs to reproduce them.
         report["config"] = {
@@ -243,16 +253,18 @@ def run(cfg: RunConfig) -> int:
             "coverage_sigmas": cfg.coverage_sigmas,
             "bins": cfg.bins,
         }
-        batch = sample_chain(chain, rule, cfg.samples, cfg.seed, workers=cfg.workers)
-        report["result"] = batch_summary(chain, batch, rule, cfg.coverage_sigmas)
+        batch = montecarlo.sample_chain(chain, rule, cfg.samples, cfg.seed, workers=cfg.workers)
+        report["result"] = montecarlo.batch_summary(chain, batch, rule, cfg.coverage_sigmas)
         if cfg.output_path is not None:
-            _emit(samples_csv(batch), _sibling(cfg.output_path, ".samples.csv"))
-            _emit(histogram_csv(batch.fc_samples, cfg.bins), _sibling(cfg.output_path, ".hist.csv"))
+            _emit(montecarlo.samples_csv(batch), _sibling(cfg.output_path, ".samples.csv"))
+            _emit(montecarlo.histogram_csv(batch.fc_samples, cfg.bins), _sibling(cfg.output_path, ".hist.csv"))
 
     elif cfg.command == "synthesize":
+        from . import montecarlo, synthesis
+
         assert cfg.target_scrap is not None
-        rule = SigmaRule(cfg.sigma_rule)
-        synthesis_cfg = SynthesisConfig(
+        rule = montecarlo.SigmaRule(cfg.sigma_rule)
+        synthesis_cfg = synthesis.SynthesisConfig(
             target_scrap=cfg.target_scrap,
             n_per_iteration=cfg.samples,
             seed=cfg.seed,
@@ -267,8 +279,8 @@ def run(cfg: RunConfig) -> int:
             "adjustment_factor": synthesis_cfg.adjustment_factor,
             "tolerance_band": synthesis_cfg.tolerance_band,
         }
-        result = synthesize(chain, rule, synthesis_cfg, workers=cfg.workers)
-        report["result"] = synthesis_report_document(result)
+        result = synthesis.synthesize(chain, rule, synthesis_cfg, workers=cfg.workers)
+        report["result"] = synthesis.synthesis_report_document(result)
 
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown command {cfg.command!r}")

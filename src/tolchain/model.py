@@ -60,6 +60,15 @@ def _checked_name(value: Any, what: str) -> str:
     return value
 
 
+# Seeds key the Philox streams of the Monte Carlo layer, one 64-bit word each.
+MAX_SEED = 2**64
+
+
+def check_seed(seed: int) -> None:
+    if not 0 <= seed < MAX_SEED:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class DimensionSpec:
     """One toleranced dimension of a chain.

@@ -26,6 +26,7 @@ from .model import (
     FunctionalCondition,
     IntervalResult,
     ToleranceChain,
+    check_seed,
     it_of,
 )
 
@@ -39,7 +40,6 @@ __all__ = [
     "derive_distribution",
     "histogram_csv",
     "propagate_analytic",
-    "recompute_fc",
     "sample_chain",
     "samples_csv",
     "scrap_rate",
@@ -49,8 +49,6 @@ __all__ = [
 # Philox advances its counter in blocks of four 64-bit words, so chunk
 # boundaries must stay multiples of four for block-aligned restarts.
 _CHUNK = 65536
-
-_MAX_SEED = 2**64
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,8 @@ class SampleBatch:
     """Realizations of every dimension plus the derived functional-condition samples.
 
     ``fc_samples[k]`` is exactly the signed sum of the per-dimension samples at
-    row ``k``, accumulated in chain order; :func:`recompute_fc` reproduces it
-    bit-for-bit. Arrays are read-only.
+    row ``k``, accumulated in chain order, so summing the per-dimension arrays
+    in that order reproduces it bit-for-bit. Arrays are read-only.
     """
 
     chain_name: str
@@ -212,8 +210,7 @@ def sample_chain(
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    check_seed(seed)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
@@ -241,18 +238,6 @@ def sample_chain(
         fc_samples=fc,
         fc_name=fc_name,
     )
-
-
-def recompute_fc(chain: ToleranceChain, batch: SampleBatch) -> np.ndarray:
-    """Rebuild the functional-condition samples from the per-dimension arrays.
-
-    Uses the same accumulation order as :func:`sample_chain`, so the result is
-    bit-identical to ``batch.fc_samples``.
-    """
-    fc = np.zeros(batch.n, dtype=np.float64)
-    for d in chain.dimensions:
-        fc += d.coefficient * batch.per_dimension[d.name]
-    return fc
 
 
 def statistical_interval(samples: Sequence[float] | np.ndarray, coverage_sigmas: float = 3.0) -> IntervalResult:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any
 
-from .model import DimensionSpec, ToleranceChain, chain_document
+from .model import MAX_SEED, DimensionSpec, ToleranceChain, chain_document, check_seed
 from .montecarlo import ScrapReport, SigmaRule, analytic_scrap, sample_chain, scrap_rate
 
 __all__ = [
@@ -28,8 +28,6 @@ __all__ = [
     "synthesize",
     "synthesis_report_document",
 ]
-
-_MAX_SEED = 2**64
 
 
 class SynthesisAction(str, Enum):
@@ -61,8 +59,7 @@ class SynthesisConfig:
             raise ValueError(f"target_scrap must lie in (0, 1), got {self.target_scrap!r}")
         if self.n_per_iteration < 1:
             raise ValueError(f"n_per_iteration must be >= 1, got {self.n_per_iteration!r}")
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        check_seed(self.seed)
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
         if not (0.0 < self.adjustment_factor < 1.0):
@@ -176,7 +173,7 @@ def synthesize(
     converged = False
     for k in range(cfg.max_iterations):
         batch = sample_chain(
-            current, rule, cfg.n_per_iteration, (cfg.seed + k) % _MAX_SEED, workers=workers
+            current, rule, cfg.n_per_iteration, (cfg.seed + k) % MAX_SEED, workers=workers
         )
         report = scrap_rate(batch.fc_samples, condition)
         effective = report.scrap_rate

@@ -219,6 +219,34 @@ class TestSimulate:
         assert code == 2
         assert "sample count" in err
 
+    @pytest.mark.parametrize("coverage", ["inf", "nan", "0", "-1"])
+    def test_bad_coverage_is_a_flag_error(self, chain_file, tmp_path, capsys, coverage):
+        before = set(tmp_path.iterdir())
+        code, _, err = run_cli(
+            [
+                "simulate", "--chain", str(chain_file), "--samples", "100",
+                "--coverage", coverage, "--output", str(tmp_path / "r.json"),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "--coverage" in err
+        assert "invalid chain" not in err
+        assert set(tmp_path.iterdir()) == before
+
+    def test_zero_bins_exits_two_without_writing(self, chain_file, tmp_path, capsys):
+        before = set(tmp_path.iterdir())
+        code, _, err = run_cli(
+            [
+                "simulate", "--chain", str(chain_file), "--samples", "100",
+                "--bins", "0", "--output", str(tmp_path / "r.json"),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "--bins" in err
+        assert set(tmp_path.iterdir()) == before
+
     def test_unknown_sigma_rule_rejected_by_parser(self, chain_file):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--chain", str(chain_file), "--sigma-rule", "it9"])

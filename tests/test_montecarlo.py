@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import recompute_fc
 from tolchain import (
     DimensionSpec,
     DistributionParams,
@@ -18,7 +19,6 @@ from tolchain import (
     histogram_csv,
     it_budget,
     propagate_analytic,
-    recompute_fc,
     sample_chain,
     samples_csv,
     scrap_rate,

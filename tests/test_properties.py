@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import recompute_fc
 from strategies import (
     chains,
     corner_extremes,
@@ -30,7 +31,6 @@ from tolchain import (
     it_of,
     parse_chain,
     propagate_analytic,
-    recompute_fc,
     respecify,
     sample_chain,
     scaled_deviations,
