@@ -1,0 +1,74 @@
+"""Golden byte contract: the same command writes the same bytes.
+
+Each case runs ``tolchain.cli.main`` on the actuator fixture and pins the
+SHA-256 of everything the call writes: stdout (``-``) and each output file.
+The calls run with the working directory in ``tmp_path`` and a relative
+``--chain``, so the report's ``chain_file`` is the same on every machine.
+A refactor must leave every hash unchanged; a change that means to alter the
+bytes re-pins them and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from tolchain.cli import main
+
+CHAIN = ["--chain", "actuator.json"]
+EXPORT = ["simulate", *CHAIN, "--samples", "70000", "--seed", "7", "--bins", "20", "--output", "r.json"]
+
+# The report and the two exports written next to it.
+EXPORT_HASHES = {
+    "r.json": "0869d72d73d2bc577a01e57b24240dd6147f816b3a4bf73e4adc7b374b04de57",
+    "r.samples.csv": "2c18d6b5a758391e6df33fe463c35eaa59e889a9c6272053dd351dfb831b7eb2",
+    "r.hist.csv": "e1073209c393951f02ad811bcd10e2acaf86f75144fabf2937ce12f285e80074",
+}
+
+CASES = {
+    "analyze-json": (
+        ["analyze", *CHAIN],
+        {"-": "daf87a76508c3728fec551bc09f26a288a6e1aed93a3162a08d612fc30436426"},
+    ),
+    "analyze-csv": (
+        ["analyze", *CHAIN, "--format", "csv"],
+        {"-": "2842e1726e01df488d4dcf113a25c616eba4b869829f9408024335be41a8fd52"},
+    ),
+    "verify-json": (
+        ["verify", *CHAIN],
+        {"-": "3b365553f1cb2042771ae16b0d80969d426d04439f3ae9ea2b2bc3cb307f464b"},
+    ),
+    "verify-csv": (
+        ["verify", *CHAIN, "--format", "csv"],
+        {"-": "df6a9f813dff3bcd3257b625731ca1f702e891135d05d3ff95bb8504e2e421b3"},
+    ),
+    "solve-json": (
+        ["solve", *CHAIN, "--unknown", "a3"],
+        {"-": "bf78b064f1825dfcae8c1e54429c34166ecc73875689e6a6771b39723343e509"},
+    ),
+    "solve-csv": (
+        ["solve", *CHAIN, "--unknown", "a3", "--format", "csv"],
+        {"-": "8d42001b95a849a63c479961a437d2bbfe75077a2311be4d3a3008c64551e5b2"},
+    ),
+    "simulate-stdout": (
+        ["simulate", *CHAIN],
+        {"-": "dd731c8ef4776b17ebef05fb438b6864b3bdd91673bed4f1873a84dd069d1cb4"},
+    ),
+    "simulate-output-w1": ([*EXPORT, "--workers", "1"], EXPORT_HASHES),
+    "simulate-output-w2": ([*EXPORT, "--workers", "2"], EXPORT_HASHES),
+    "synthesize": (
+        ["synthesize", *CHAIN, "--samples", "2000", "--target-scrap", "0.05"],
+        {"-": "03fcd898934e789d2082f96b90ac004c809ff0ce05e8f326977aead0ed869bf3"},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, expected", CASES.values(), ids=CASES.keys())
+def test_outputs_match_pinned_hashes(actuator_file, monkeypatch, capsys, argv, expected):
+    monkeypatch.chdir(actuator_file.parent)
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    digests = {
+        name: hashlib.sha256(stdout if name == "-" else (actuator_file.parent / name).read_bytes()).hexdigest()
+        for name in expected
+    }
+    assert digests == expected
