@@ -20,8 +20,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -30,7 +31,6 @@ from .model import (
     ChainSyntaxError,
     ChainValidationError,
     ConformityStatus,
-    ToleranceChain,
     chain_document,
     parse_chain,
 )
@@ -41,20 +41,60 @@ __all__ = ["RunConfig", "build_parser", "main", "run"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one invocation needs; built from parsed flags."""
+    """Everything one invocation needs; its defaults are the CLI's defaults.
+
+    Each field but ``command`` is the ``dest`` of the flag in :data:`_FLAGS`.
+    """
 
     command: str
-    chain_path: Path
-    output_path: Path | None = None
+    chain: Path
+    output: Path | None = None
     format: str = "json"
     samples: int = 100_000
     seed: int = 1
     sigma_rule: str = "it6"
     coverage_sigmas: float = 3.0
     target_scrap: float | None = None
-    unknown_name: str | None = None
+    unknown: str | None = None
     bins: int = 50
     workers: int = 1
+
+
+# Spelling and parser settings of each flag, keyed by its RunConfig field.
+_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
+    "chain": ("--chain", {"required": True, "type": Path, "help": "chain-definition JSON file"}),
+    "output": ("--output", {"type": Path, "help": "write the report here instead of stdout"}),
+    "format": ("--format", {"choices": ("json", "csv"), "help": "report format"}),
+    "samples": ("--samples", {"type": int, "help": "number of realizations"}),
+    "seed": ("--seed", {"type": int, "help": "random stream selector"}),
+    "sigma_rule": ("--sigma-rule", {"choices": ("it6", "it3"),
+                                    "help": "tolerance-to-sigma mapping (IT/6 or IT/3)"}),
+    "workers": ("--workers", {"type": int,
+                              "help": "threads for sample generation (output is identical for any count)"}),
+    "unknown": ("--unknown", {"required": True, "help": "name of the dimension to solve for"}),
+    "coverage_sigmas": ("--coverage", {"type": float, "metavar": "COVERAGE",
+                                       "help": "statistical-interval half-width in sigmas"}),
+    "bins": ("--bins", {"type": int, "help": "histogram bin count"}),
+    "target_scrap": ("--target-scrap", {"type": float, "required": True,
+                                        "help": "desired scrap fraction in (0, 1)"}),
+}
+
+_IO = ("chain", "output", "format")
+_SAMPLING = ("samples", "seed", "sigma_rule", "workers")
+
+# The help line and the flags of each command, in the order ``--help`` lists them.
+_COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "analyze": ("worst-case interval and IT budget", _IO),
+    "verify": ("worst-case conformity verdict (exit code 1 when non-conforming)", _IO),
+    "solve": ("widest deviations for one unknown dimension", (*_IO, "unknown")),
+    "simulate": ("Monte Carlo summary, sample CSV, histogram CSV",
+                 (*_IO, *_SAMPLING, "coverage_sigmas", "bins")),
+    "synthesize": ("adjust tolerances toward a target scrap rate", (*_IO, *_SAMPLING, "target_scrap")),
+}
+
+# The chain file and the output path appear elsewhere in the report; the worker
+# count cannot change the results, so a reader needs none of them to reproduce one.
+_UNREPORTED = ("chain", "output", "workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,61 +104,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tolchain {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_io_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--chain", required=True, type=Path, help="chain-definition JSON file")
-        sub.add_argument("--output", type=Path, default=None, help="write the report here instead of stdout")
-        sub.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
-
-    def add_sampling_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--samples", type=int, default=100_000, help="number of realizations")
-        sub.add_argument("--seed", type=int, default=1, help="random stream selector")
-        sub.add_argument("--sigma-rule", choices=("it6", "it3"), default="it6",
-                         help="tolerance-to-sigma mapping (IT/6 or IT/3)")
-        sub.add_argument("--workers", type=int, default=1,
-                         help="threads for sample generation (output is identical for any count)")
-
-    analyze = subparsers.add_parser("analyze", help="worst-case interval and IT budget")
-    add_io_flags(analyze)
-
-    verify = subparsers.add_parser("verify", help="worst-case conformity verdict (exit code 1 when non-conforming)")
-    add_io_flags(verify)
-
-    solve = subparsers.add_parser("solve", help="widest deviations for one unknown dimension")
-    add_io_flags(solve)
-    solve.add_argument("--unknown", required=True, help="name of the dimension to solve for")
-
-    simulate = subparsers.add_parser("simulate", help="Monte Carlo summary, sample CSV, histogram CSV")
-    add_io_flags(simulate)
-    add_sampling_flags(simulate)
-    simulate.add_argument("--coverage", type=float, default=3.0,
-                          help="statistical-interval half-width in sigmas")
-    simulate.add_argument("--bins", type=int, default=50, help="histogram bin count")
-
-    synthesize_cmd = subparsers.add_parser("synthesize", help="adjust tolerances toward a target scrap rate")
-    add_io_flags(synthesize_cmd)
-    add_sampling_flags(synthesize_cmd)
-    synthesize_cmd.add_argument("--target-scrap", type=float, required=True,
-                                help="desired scrap fraction in (0, 1)")
-
+    for command, (help_text, flags) in _COMMANDS.items():
+        # A flag not given stays out of the namespace, so RunConfig supplies its default.
+        sub = subparsers.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        for dest in flags:
+            spelling, settings = _FLAGS[dest]
+            sub.add_argument(spelling, dest=dest, **settings)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        chain_path=args.chain,
-        output_path=args.output,
-        format=args.format,
-        samples=getattr(args, "samples", 100_000),
-        seed=getattr(args, "seed", 1),
-        sigma_rule=getattr(args, "sigma_rule", "it6"),
-        coverage_sigmas=getattr(args, "coverage", 3.0),
-        target_scrap=getattr(args, "target_scrap", None),
-        unknown_name=getattr(args, "unknown", None),
-        bins=getattr(args, "bins", 50),
-        workers=getattr(args, "workers", 1),
-    )
+def _config_block(cfg: RunConfig) -> dict[str, Any]:
+    flags = set(_COMMANDS[cfg.command][1]) - set(_UNREPORTED)
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name in flags}
 
 
 def _flatten(value: Any, prefix: str, rows: list[tuple[str, Any]]) -> None:
@@ -149,28 +146,40 @@ def _render_report(report: dict[str, Any], fmt: str) -> str:
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
-def _emit(text: str, path: Path | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text, encoding="utf-8")
+def _write_all(outputs: list[tuple[Path, str]]) -> None:
+    """Write every output or none.
+
+    Each text goes to a temporary file beside its target, and the files move
+    into place only after every write succeeded. On failure the temporary
+    files, and the outputs this call already moved into place, are removed.
+    """
+    staged: list[tuple[Path, Path]] = []
+    moved: list[Path] = []
+    try:
+        for path, text in outputs:
+            if path.exists() and not path.is_file():
+                # A device or a pipe is written in place, since a rename would
+                # replace it; a directory raises here.
+                path.write_text(text, encoding="utf-8")
+                continue
+            target = Path(os.path.realpath(path))  # write through a symlink, not over it
+            tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+            with open(tmp, "x", encoding="utf-8") as f:
+                staged.append((tmp, target))
+                f.write(text)
+        for tmp, target in staged:
+            os.replace(tmp, target)
+            moved.append(target)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        for target in moved:
+            target.unlink(missing_ok=True)
+        raise
 
 
 def _sibling(path: Path, suffix: str) -> Path:
     return path.parent / f"{path.stem}{suffix}"
-
-
-def _interval_dict(interval) -> dict[str, float]:
-    return {"min": interval.min, "max": interval.max, "it": interval.it}
-
-
-def _condition_dict(condition) -> dict[str, Any] | None:
-    if condition is None:
-        return None
-    out: dict[str, Any] = {"name": condition.name}
-    out["min"] = condition.imposed_min
-    out["max"] = condition.imposed_max
-    return out
 
 
 def run(cfg: RunConfig) -> int:
@@ -179,41 +188,40 @@ def run(cfg: RunConfig) -> int:
     Raises the underlying errors (I/O, syntax, validation, infeasibility);
     :func:`main` maps them to exit codes and stderr messages.
     """
-    # Flags first: a bad flag must not leave a partial export behind.
+    # Flags first: a bad flag is blamed before the chain is read.
     if cfg.command == "simulate":
         if not (math.isfinite(cfg.coverage_sigmas) and cfg.coverage_sigmas > 0.0):
             raise ValueError(f"--coverage must be finite and > 0, got {cfg.coverage_sigmas!r}")
         if cfg.bins < 1:
             raise ValueError(f"--bins must be >= 1, got {cfg.bins}")
 
-    raw = cfg.chain_path.read_bytes()
+    raw = cfg.chain.read_bytes()
     chain = parse_chain(raw.decode("utf-8"))
 
     report: dict[str, Any] = {
         "tool": "tolchain",
         "version": __version__,
         "command": cfg.command,
-        "chain_file": str(cfg.chain_path),
+        "chain_file": str(cfg.chain),
         "chain_sha256": hashlib.sha256(raw).hexdigest(),
         "chain_name": chain.name,
+        "config": _config_block(cfg),
     }
+    exports: list[tuple[Path, str]] = []
     exit_code = 0
 
     if cfg.command == "analyze":
-        report["config"] = {"format": cfg.format}
-        interval = worst_case(chain)
-        report["result"] = {
-            "interval": _interval_dict(interval),
-            "it_budget": it_budget(chain),
-        }
+        report["result"] = {"interval": asdict(worst_case(chain)), "it_budget": it_budget(chain)}
 
     elif cfg.command == "verify":
-        report["config"] = {"format": cfg.format}
         verdict = verify_worst_case(chain)
+        # Keyed as in the chain document, with an absent bound as null.
+        c = verdict.imposed
+        imposed = None if c is None else {"name": c.name, "min": c.imposed_min, "max": c.imposed_max}
         report["result"] = {
             "status": verdict.status.value,
-            "computed": _interval_dict(verdict.computed),
-            "imposed": _condition_dict(verdict.imposed),
+            "computed": asdict(verdict.computed),
+            "imposed": imposed,
         }
         if verdict.status in (
             ConformityStatus.NON_CONFORMING_LOW,
@@ -223,19 +231,9 @@ def run(cfg: RunConfig) -> int:
             exit_code = 1
 
     elif cfg.command == "solve":
-        assert cfg.unknown_name is not None
-        report["config"] = {"format": cfg.format, "unknown": cfg.unknown_name}
-        solved = solve_unknown(chain, cfg.unknown_name)
-        report["result"] = {
-            "dimension": {
-                "name": solved.name,
-                "nominal": solved.nominal,
-                "upper_dev": solved.upper_dev,
-                "lower_dev": solved.lower_dev,
-                "coefficient": solved.coefficient,
-            },
-            "it": solved.it,
-        }
+        assert cfg.unknown is not None
+        solved = solve_unknown(chain, cfg.unknown)
+        report["result"] = {"dimension": asdict(solved), "it": solved.it}
 
     elif cfg.command == "simulate":
         # Imported here so that the worst-case commands never load numpy or
@@ -243,21 +241,13 @@ def run(cfg: RunConfig) -> int:
         from . import montecarlo
 
         rule = montecarlo.SigmaRule(cfg.sigma_rule)
-        # Deliberately no worker count here: parallelism cannot change the
-        # results, so it is not configuration a reader needs to reproduce them.
-        report["config"] = {
-            "format": cfg.format,
-            "samples": cfg.samples,
-            "seed": cfg.seed,
-            "sigma_rule": cfg.sigma_rule,
-            "coverage_sigmas": cfg.coverage_sigmas,
-            "bins": cfg.bins,
-        }
         batch = montecarlo.sample_chain(chain, rule, cfg.samples, cfg.seed, workers=cfg.workers)
         report["result"] = montecarlo.batch_summary(chain, batch, rule, cfg.coverage_sigmas)
-        if cfg.output_path is not None:
-            _emit(montecarlo.samples_csv(batch), _sibling(cfg.output_path, ".samples.csv"))
-            _emit(montecarlo.histogram_csv(batch.fc_samples, cfg.bins), _sibling(cfg.output_path, ".hist.csv"))
+        if cfg.output is not None:
+            exports = [
+                (_sibling(cfg.output, ".samples.csv"), montecarlo.samples_csv(batch)),
+                (_sibling(cfg.output, ".hist.csv"), montecarlo.histogram_csv(batch.fc_samples, cfg.bins)),
+            ]
 
     elif cfg.command == "synthesize":
         from . import montecarlo, synthesis
@@ -269,29 +259,27 @@ def run(cfg: RunConfig) -> int:
             n_per_iteration=cfg.samples,
             seed=cfg.seed,
         )
-        report["config"] = {
-            "format": cfg.format,
-            "samples": cfg.samples,
-            "seed": cfg.seed,
-            "sigma_rule": cfg.sigma_rule,
-            "target_scrap": cfg.target_scrap,
-            "max_iterations": synthesis_cfg.max_iterations,
-            "adjustment_factor": synthesis_cfg.adjustment_factor,
-            "tolerance_band": synthesis_cfg.tolerance_band,
-        }
+        report["config"].update(
+            max_iterations=synthesis_cfg.max_iterations,
+            adjustment_factor=synthesis_cfg.adjustment_factor,
+            tolerance_band=synthesis_cfg.tolerance_band,
+        )
         result = synthesis.synthesize(chain, rule, synthesis_cfg, workers=cfg.workers)
         report["result"] = synthesis.synthesis_report_document(result)
 
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown command {cfg.command!r}")
 
-    _emit(_render_report(report, cfg.format), cfg.output_path)
+    text = _render_report(report, cfg.format)
+    if cfg.output is None:
+        sys.stdout.write(text)
+    else:
+        _write_all([*exports, (cfg.output, text)])
     return exit_code
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
+    cfg = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         return run(cfg)
     except InfeasibleToleranceError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Any, Mapping
 
@@ -29,8 +29,8 @@ __all__ = [
     "IntervalResult",
     "ToleranceChain",
     "chain_document",
-    "it_of",
     "parse_chain",
+    "respecify",
     "serialize_chain",
 ]
 
@@ -122,11 +122,6 @@ class DimensionSpec:
         return self.nominal + (self.upper_dev + self.lower_dev) / 2.0
 
 
-def it_of(dimension: DimensionSpec) -> float:
-    """Tolerance interval of a dimension: upper deviation minus lower deviation."""
-    return dimension.upper_dev - dimension.lower_dev
-
-
 @dataclass(frozen=True)
 class FunctionalCondition:
     """Named bounds imposed on the chain's resultant dimension.
@@ -199,6 +194,20 @@ class ToleranceChain:
 
     def dimension(self, name: str) -> DimensionSpec:
         return self.dimensions[self.index_of(name)]
+
+
+def respecify(
+    chain: ToleranceChain, name: str, new_upper: float, new_lower: float
+) -> ToleranceChain:
+    """Copy of the chain with one dimension's deviations replaced.
+
+    The original chain is untouched. Raises ``ValueError`` for an unknown
+    name and ``ChainValidationError`` when the new deviations are invalid.
+    """
+    index = chain.index_of(name)
+    dims = list(chain.dimensions)
+    dims[index] = replace(dims[index], upper_dev=new_upper, lower_dev=new_lower)
+    return replace(chain, dimensions=tuple(dims))
 
 
 @dataclass(frozen=True)
@@ -348,16 +357,7 @@ def chain_document(chain: ToleranceChain) -> dict[str, Any]:
     """The chain as a plain dict in the chain-definition document shape."""
     doc: dict[str, Any] = {
         "name": chain.name,
-        "dimensions": [
-            {
-                "name": d.name,
-                "nominal": d.nominal,
-                "upper_dev": d.upper_dev,
-                "lower_dev": d.lower_dev,
-                "coefficient": d.coefficient,
-            }
-            for d in chain.dimensions
-        ],
+        "dimensions": [asdict(d) for d in chain.dimensions],
     }
     if chain.condition is not None:
         cond: dict[str, Any] = {"name": chain.condition.name}

@@ -14,7 +14,7 @@ import csv
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, ClassVar, Mapping, Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ from .model import (
     IntervalResult,
     ToleranceChain,
     check_seed,
-    it_of,
 )
 
 __all__ = [
@@ -111,9 +110,9 @@ class DistributionParams:
 def derive_distribution(dimension: DimensionSpec, rule: SigmaRule) -> DistributionParams:
     """Distribution of one dimension: mean at the tolerance-zone midpoint, sigma per the rule."""
     if rule.kind == "it6":
-        sigma = it_of(dimension) / 6.0
+        sigma = dimension.it / 6.0
     elif rule.kind == "it3":
-        sigma = it_of(dimension) / 3.0
+        sigma = dimension.it / 3.0
     else:
         assert rule.sigmas is not None
         try:
@@ -171,23 +170,13 @@ def _normal_chunk(
 def _sample_dimension(
     seed: int, dim_index: int, n: int, params: DistributionParams, pool: ThreadPoolExecutor | None
 ) -> np.ndarray:
+    def chunk(start: int) -> np.ndarray:
+        return _normal_chunk(seed, dim_index, start, min(_CHUNK, n - start), params.mean, params.sigma)
+
     out = np.empty(n, dtype=np.float64)
     starts = range(0, n, _CHUNK)
-    if pool is None:
-        for start in starts:
-            count = min(_CHUNK, n - start)
-            out[start : start + count] = _normal_chunk(
-                seed, dim_index, start, count, params.mean, params.sigma
-            )
-    else:
-        futures = [
-            (start, pool.submit(_normal_chunk, seed, dim_index, start, min(_CHUNK, n - start),
-                                params.mean, params.sigma))
-            for start in starts
-        ]
-        for start, future in futures:
-            chunk = future.result()
-            out[start : start + chunk.shape[0]] = chunk
+    for start, values in zip(starts, (map if pool is None else pool.map)(chunk, starts)):
+        out[start : start + values.shape[0]] = values
     return out
 
 
@@ -245,20 +234,28 @@ def statistical_interval(samples: Sequence[float] | np.ndarray, coverage_sigmas:
 
     The standard deviation uses the n-1 denominator; a single sample has
     stdev 0. The default coverage of 3 reads as the conventional 99.73%
-    two-sided normal coverage.
+    two-sided normal coverage. ``coverage_sigmas`` must be finite and > 0.
     """
+    return _moments(samples, coverage_sigmas)[2]
+
+
+def _moments(
+    samples: Sequence[float] | np.ndarray, coverage_sigmas: float
+) -> tuple[float, float, IntervalResult]:
+    """Sample mean, sample standard deviation, and the statistical interval built from them."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("statistical_interval requires a non-empty sample set")
-    if not (coverage_sigmas > 0.0):
-        raise ValueError(f"coverage_sigmas must be > 0, got {coverage_sigmas!r}")
+    if not (math.isfinite(coverage_sigmas) and coverage_sigmas > 0.0):
+        raise ValueError(f"coverage_sigmas must be finite and > 0, got {coverage_sigmas!r}")
     mean = float(arr.mean())
     stdev = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return IntervalResult(
+    interval = IntervalResult(
         min=mean - coverage_sigmas * stdev,
         max=mean + coverage_sigmas * stdev,
         it=2.0 * coverage_sigmas * stdev,
     )
+    return mean, stdev, interval
 
 
 @dataclass(frozen=True)
@@ -364,30 +361,18 @@ def batch_summary(
     """
 
     def _stats(arr: np.ndarray) -> dict[str, Any]:
-        interval = statistical_interval(arr, coverage_sigmas)
-        return {
-            "mean": float(arr.mean()),
-            "stdev": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-            "interval": {"min": interval.min, "max": interval.max, "it": interval.it},
-        }
+        mean, stdev, interval = _moments(arr, coverage_sigmas)
+        return {"mean": mean, "stdev": stdev, "interval": asdict(interval)}
 
-    propagated = propagate_analytic(chain, rule)
     summary: dict[str, Any] = {
         "n": batch.n,
         "seed": batch.seed,
         "coverage_sigmas": coverage_sigmas,
         "per_dimension": {name: _stats(arr) for name, arr in batch.per_dimension.items()},
         "fc": {"name": batch.fc_name, **_stats(batch.fc_samples)},
-        "analytic": {"mean": propagated.mean, "sigma": propagated.sigma},
+        "analytic": asdict(propagate_analytic(chain, rule)),
     }
     if chain.condition is not None and chain.condition.is_bounded:
-        report = scrap_rate(batch.fc_samples, chain.condition)
-        summary["scrap"] = {
-            "n": report.n,
-            "below": report.below,
-            "above": report.above,
-            "scrap_rate": report.scrap_rate,
-            "ci95_half_width": report.ci95_half_width,
-        }
+        summary["scrap"] = asdict(scrap_rate(batch.fc_samples, chain.condition))
         summary["analytic_scrap"] = analytic_scrap(chain, rule)
     return summary

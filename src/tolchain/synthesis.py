@@ -11,11 +11,11 @@ zone centers never move.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Any
 
-from .model import MAX_SEED, DimensionSpec, ToleranceChain, chain_document, check_seed
+from .model import MAX_SEED, DimensionSpec, ToleranceChain, chain_document, check_seed, respecify
 from .montecarlo import ScrapReport, SigmaRule, analytic_scrap, sample_chain, scrap_rate
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "SynthesisAction",
     "SynthesisConfig",
     "SynthesisReport",
-    "respecify",
     "scaled_deviations",
     "synthesize",
     "synthesis_report_document",
@@ -108,42 +107,6 @@ def scaled_deviations(dimension: DimensionSpec, scale: float) -> tuple[float, fl
     return center + half_width, center - half_width
 
 
-def respecify(
-    chain: ToleranceChain, name: str, new_upper: float, new_lower: float
-) -> ToleranceChain:
-    """Copy of the chain with one dimension's deviations replaced.
-
-    The original chain is untouched. Raises ``ValueError`` for an unknown
-    name and ``ChainValidationError`` when the new deviations are invalid.
-    """
-    index = chain.index_of(name)
-    dims = list(chain.dimensions)
-    dims[index] = replace(dims[index], upper_dev=new_upper, lower_dev=new_lower)
-    return replace(chain, dimensions=tuple(dims))
-
-
-def _pick_widest(chain: ToleranceChain, frozen: frozenset[str]) -> DimensionSpec | None:
-    best: DimensionSpec | None = None
-    for d in chain.dimensions:
-        if d.name in frozen:
-            continue
-        if best is None or d.it > best.it:
-            best = d
-    return best
-
-
-def _pick_narrowest_adjustable(chain: ToleranceChain, frozen: frozenset[str]) -> DimensionSpec | None:
-    # Widening multiplies the width, so a zero-width zone can never grow:
-    # skip those entirely.
-    best: DimensionSpec | None = None
-    for d in chain.dimensions:
-        if d.name in frozen or d.it == 0.0:
-            continue
-        if best is None or d.it < best.it:
-            best = d
-    return best
-
-
 def synthesize(
     chain: ToleranceChain, rule: SigmaRule, cfg: SynthesisConfig, *, workers: int = 1
 ) -> SynthesisReport:
@@ -189,14 +152,15 @@ def synthesize(
             converged = True
             break
 
+        # Scaling leaves a zero-width zone at zero, so such a zone never moves.
+        # max and min return the first of equals: ties go to chain order.
+        movable = [d for d in current.dimensions if d.name not in cfg.frozen and d.it > 0.0]
         if effective > cfg.target_scrap:
-            picked = _pick_widest(current, cfg.frozen)
+            picked = max(movable, key=lambda d: d.it, default=None)
             action = SynthesisAction.SHRINK
             scale = 1.0 - cfg.adjustment_factor
-            if picked is not None and picked.it == 0.0:
-                picked = None
         else:
-            picked = _pick_narrowest_adjustable(current, cfg.frozen)
+            picked = min(movable, key=lambda d: d.it, default=None)
             action = SynthesisAction.WIDEN
             scale = 1.0 + cfg.adjustment_factor
 
@@ -224,13 +188,7 @@ def synthesis_report_document(report: SynthesisReport) -> dict[str, Any]:
     for record in report.iterations:
         entry: dict[str, Any] = {
             "index": record.index,
-            "scrap": {
-                "n": record.scrap.n,
-                "below": record.scrap.below,
-                "above": record.scrap.above,
-                "scrap_rate": record.scrap.scrap_rate,
-                "ci95_half_width": record.scrap.ci95_half_width,
-            },
+            "scrap": asdict(record.scrap),
             "effective_scrap": record.effective_scrap,
             "scrap_source": record.scrap_source,
             "action": record.action.value,

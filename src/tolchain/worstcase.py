@@ -9,7 +9,7 @@ max) or down (for the min).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from typing import Iterable
 
 from .model import (
     ConformityStatus,
@@ -17,7 +17,7 @@ from .model import (
     DimensionSpec,
     IntervalResult,
     ToleranceChain,
-    it_of,
+    respecify,
 )
 
 __all__ = [
@@ -33,16 +33,11 @@ class InfeasibleToleranceError(ValueError):
     """No deviations can satisfy the imposed condition (negative available IT)."""
 
 
-def worst_case(chain: ToleranceChain) -> IntervalResult:
-    """Extreme values of the functional condition over all limit combinations.
-
-    Dimensions with a positive coefficient contribute their max limit to the
-    maximum and their min limit to the minimum; negative coefficients swap the
-    roles. The interval's ``it`` equals :func:`it_budget`.
-    """
+def _extremes(dimensions: Iterable[DimensionSpec]) -> tuple[float, float]:
+    """Minimum and maximum of the signed sum over the dimensions' limits, summed in order."""
     low = 0.0
     high = 0.0
-    for d in chain.dimensions:
+    for d in dimensions:
         a = d.coefficient
         if a > 0:
             high += a * d.max_limit
@@ -50,6 +45,17 @@ def worst_case(chain: ToleranceChain) -> IntervalResult:
         else:
             high += a * d.min_limit
             low += a * d.max_limit
+    return low, high
+
+
+def worst_case(chain: ToleranceChain) -> IntervalResult:
+    """Extreme values of the functional condition over all limit combinations.
+
+    Dimensions with a positive coefficient contribute their max limit to the
+    maximum and their min limit to the minimum; negative coefficients swap the
+    roles. The interval's ``it`` equals :func:`it_budget`.
+    """
+    low, high = _extremes(chain.dimensions)
     return IntervalResult(min=low, max=high, it=it_budget(chain))
 
 
@@ -57,7 +63,7 @@ def it_budget(chain: ToleranceChain) -> float:
     """Arithmetic tolerance budget: sum of |coefficient| * IT over the chain."""
     total = 0.0
     for d in chain.dimensions:
-        total += abs(d.coefficient) * it_of(d)
+        total += abs(d.coefficient) * d.it
     return total
 
 
@@ -85,12 +91,6 @@ def verify_worst_case(chain: ToleranceChain) -> ConformityVerdict:
     return ConformityVerdict(status, computed, condition)
 
 
-def _completed(chain: ToleranceChain, index: int, unknown: DimensionSpec) -> ToleranceChain:
-    dims = list(chain.dimensions)
-    dims[index] = unknown
-    return replace(chain, dimensions=tuple(dims))
-
-
 def solve_unknown(chain: ToleranceChain, unknown: str) -> DimensionSpec:
     """Widest deviations for one dimension so the whole chain conforms.
 
@@ -110,18 +110,7 @@ def solve_unknown(chain: ToleranceChain, unknown: str) -> DimensionSpec:
     index = chain.index_of(unknown)
     target = chain.dimensions[index]
 
-    known_min = 0.0
-    known_max = 0.0
-    for i, d in enumerate(chain.dimensions):
-        if i == index:
-            continue
-        a = d.coefficient
-        if a > 0:
-            known_max += a * d.max_limit
-            known_min += a * d.min_limit
-        else:
-            known_max += a * d.min_limit
-            known_min += a * d.max_limit
+    known_min, known_max = _extremes(d for i, d in enumerate(chain.dimensions) if i != index)
 
     a = target.coefficient
     if a > 0:
@@ -140,10 +129,10 @@ def solve_unknown(chain: ToleranceChain, unknown: str) -> DimensionSpec:
     # Rounding in the divisions above can overshoot a bound by an ulp; walk
     # the offending deviation inward until the completed chain conforms.
     for _ in range(64):
-        candidate = replace(target, upper_dev=upper, lower_dev=lower)
-        verdict = verify_worst_case(_completed(chain, index, candidate))
+        completed = respecify(chain, unknown, upper, lower)
+        verdict = verify_worst_case(completed)
         if verdict.status is ConformityStatus.CONFORMING:
-            return candidate
+            return completed.dimensions[index]
         if verdict.status in (ConformityStatus.NON_CONFORMING_HIGH, ConformityStatus.NON_CONFORMING_BOTH):
             if a > 0:
                 upper = math.nextafter(upper, -math.inf)

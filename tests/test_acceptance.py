@@ -22,7 +22,6 @@ from tolchain import (
     SynthesisConfig,
     ToleranceChain,
     it_budget,
-    it_of,
     sample_chain,
     scrap_rate,
     statistical_interval,
@@ -59,7 +58,7 @@ def test_criterion_1_worst_case_fixture(chain_file, capsys):
 
 def test_criterion_2_it_budget_fixture():
     chain = make_actuator_chain()
-    per_dimension = tuple(it_of(d) for d in chain.dimensions)
+    per_dimension = tuple(d.it for d in chain.dimensions)
     budget = it_budget(chain)
     ok = (
         per_dimension == (0.5, 0.2, 0.4, 0.06)

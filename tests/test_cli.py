@@ -5,6 +5,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+import stat
 
 import pytest
 
@@ -247,6 +249,40 @@ class TestSimulate:
         assert "--bins" in err
         assert set(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("blocked", ["r.hist.csv", "r.json"])
+    def test_failed_write_leaves_no_output(self, chain_file, tmp_path, capsys, blocked):
+        (tmp_path / blocked).mkdir()
+        before = set(tmp_path.iterdir())
+        code, _, err = run_cli(
+            [
+                "simulate", "--chain", str(chain_file), "--samples", "100",
+                "--output", str(tmp_path / "r.json"),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "Is a directory" in err
+        assert set(tmp_path.iterdir()) == before
+
+    def test_failed_move_removes_the_outputs_already_moved(self, chain_file, tmp_path, capsys, monkeypatch):
+        report = tmp_path / "r.json"
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if dst == report:
+                raise PermissionError(13, "Permission denied", str(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        before = set(tmp_path.iterdir())
+        code, _, err = run_cli(
+            ["simulate", "--chain", str(chain_file), "--samples", "100", "--output", str(report)],
+            capsys,
+        )
+        assert code == 2
+        assert "Permission denied" in err
+        assert set(tmp_path.iterdir()) == before
+
     def test_unknown_sigma_rule_rejected_by_parser(self, chain_file):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--chain", str(chain_file), "--sigma-rule", "it9"])
@@ -283,6 +319,69 @@ class TestSynthesize:
         )
         assert code == 2
         assert "target_scrap" in err
+
+
+class TestOutputTargets:
+    def test_pipe_is_written_in_place(self, chain_file, tmp_path, capsys):
+        pipe = tmp_path / "report.pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, _ = run_cli(["analyze", "--chain", str(chain_file), "--output", str(pipe)], capsys)
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert json.loads(data)["command"] == "analyze"
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+
+    def test_symlink_is_written_through(self, chain_file, tmp_path, capsys):
+        real = tmp_path / "real.json"
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        code, _, _ = run_cli(["analyze", "--chain", str(chain_file), "--output", str(link)], capsys)
+        assert code == 0
+        assert link.is_symlink()
+        assert json.loads(real.read_text(encoding="utf-8"))["command"] == "analyze"
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["analyze"], {"format": "json"}),
+        (["verify"], {"format": "json"}),
+        (["solve", "--unknown", "a3"], {"format": "json", "unknown": "a3"}),
+        (
+            ["simulate"],
+            {
+                "format": "json",
+                "samples": 100_000,
+                "seed": 1,
+                "sigma_rule": "it6",
+                "coverage_sigmas": 3.0,
+                "bins": 50,
+            },
+        ),
+        (
+            ["synthesize", "--target-scrap", "2.4e-7"],
+            {
+                "format": "json",
+                "samples": 100_000,
+                "seed": 1,
+                "sigma_rule": "it6",
+                "target_scrap": 2.4e-7,
+                "max_iterations": 50,
+                "adjustment_factor": 0.1,
+                "tolerance_band": 0.25,
+            },
+        ),
+    ],
+    ids=["analyze", "verify", "solve", "simulate", "synthesize"],
+)
+def test_default_config_block(chain_file, capsys, argv, config):
+    code, out, _ = run_cli([*argv, "--chain", str(chain_file)], capsys)
+    assert code == 0
+    assert list(json.loads(out)["config"].items()) == list(config.items())
 
 
 class TestErrorPaths:

@@ -13,7 +13,6 @@ from tolchain import (
     FunctionalCondition,
     IntervalResult,
     ToleranceChain,
-    it_of,
     parse_chain,
     serialize_chain,
 )
@@ -63,9 +62,9 @@ class TestDimensionSpec:
 
 
 def test_it_of_matches_quoted_tolerances():
-    assert it_of(DimensionSpec("a1", 25.3, 0.5, 0.0, 1.0)) == 0.5
-    assert it_of(DimensionSpec("a7", 2.0, 0.0, -0.06, -1.0)) == 0.06
-    assert it_of(DimensionSpec("z", 10.0, 0.0, 0.0, 1.0)) == 0.0
+    assert DimensionSpec("a1", 25.3, 0.5, 0.0, 1.0).it == 0.5
+    assert DimensionSpec("a7", 2.0, 0.0, -0.06, -1.0).it == 0.06
+    assert DimensionSpec("z", 10.0, 0.0, 0.0, 1.0).it == 0.0
 
 
 class TestFunctionalCondition:
@@ -150,7 +149,7 @@ class TestParseChain:
         )
         chain = parse_chain(text)
         assert chain.condition is None
-        assert it_of(chain.dimensions[0]) == 0.0
+        assert chain.dimensions[0].it == 0.0
 
     def test_partial_condition_bounds(self):
         doc = dict(ACTUATOR_DOC, condition={"name": "Ja", "min": 10.0})

@@ -225,6 +225,11 @@ class TestStatisticalInterval:
         with pytest.raises(ValueError, match="coverage"):
             statistical_interval([1.0], 0.0)
 
+    @pytest.mark.parametrize("samples", [[1.0, 2.0], [1.0, 1.0]], ids=["spread", "constant"])
+    def test_infinite_coverage_is_blamed(self, samples):
+        with pytest.raises(ValueError, match="coverage_sigmas must be finite"):
+            statistical_interval(samples, math.inf)
+
 
 class TestScrapRate:
     def test_all_inside(self):

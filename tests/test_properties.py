@@ -28,7 +28,6 @@ from tolchain import (
     SigmaRule,
     analytic_scrap,
     it_budget,
-    it_of,
     parse_chain,
     propagate_analytic,
     respecify,
@@ -47,7 +46,7 @@ def test_round_trip_survives_serialization(chain):
     assert parse_chain(serialize_chain(chain)) == chain
     for d in chain.dimensions:
         assert d.min_limit <= d.max_limit
-        assert it_of(d) >= 0.0
+        assert d.it >= 0.0
 
 
 @settings(max_examples=250, deadline=None)
@@ -95,7 +94,7 @@ def test_adjustment_preserves_midpoint(dimension, factor, widen):
     assert new_lower <= new_upper
     assert adjusted.nominal == dimension.nominal
     assert adjusted.midpoint == dimension.midpoint
-    assert it_of(adjusted) == scale * it_of(dimension)
+    assert adjusted.it == scale * dimension.it
 
 
 @settings(max_examples=200, deadline=None)
