@@ -27,13 +27,7 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .model import (
-    ChainSyntaxError,
-    ChainValidationError,
-    ConformityStatus,
-    chain_document,
-    parse_chain,
-)
+from .model import ChainSyntaxError, ChainValidationError, ConformityStatus, parse_chain
 from .worstcase import InfeasibleToleranceError, it_budget, solve_unknown, verify_worst_case, worst_case
 
 __all__ = ["RunConfig", "build_parser", "main", "run"]

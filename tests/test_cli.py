@@ -7,6 +7,7 @@ import io
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -267,9 +268,11 @@ class TestSimulate:
     def test_failed_move_removes_the_outputs_already_moved(self, chain_file, tmp_path, capsys, monkeypatch):
         report = tmp_path / "r.json"
         real_replace = os.replace
+        targets = []
 
         def replace(src, dst):
-            if dst == report:
+            targets.append(Path(dst).name)
+            if Path(dst).name == report.name:
                 raise PermissionError(13, "Permission denied", str(dst))
             real_replace(src, dst)
 
@@ -281,6 +284,7 @@ class TestSimulate:
         )
         assert code == 2
         assert "Permission denied" in err
+        assert targets == ["r.samples.csv", "r.hist.csv", "r.json"]
         assert set(tmp_path.iterdir()) == before
 
     def test_unknown_sigma_rule_rejected_by_parser(self, chain_file):
