@@ -11,26 +11,21 @@ import pytest
 import tolchain
 from tolchain import model, montecarlo, synthesis, worstcase
 
-# One CLI call; the probe reports its exit code.
-_CLI = """
-import sys
+# Runs one CLI call in a fresh interpreter and prints which of numpy and
+# scipy it loaded.
+_PROBE = """
+import json, sys
 from tolchain.cli import main
 code = main(sys.argv[1:])
-"""
-
-# Appended to every probe: prints the exit code and which of numpy and scipy loaded.
-_REPORT = """
-import json, sys
 print(json.dumps({"code": code, "loaded": [m for m in ("numpy", "scipy") if m in sys.modules]}))
 """
 
 
-def _probe(script, argv=()):
-    """Runs ``script``, which sets ``code``, in a fresh interpreter and returns the report."""
+def _probe(argv):
     src = str(Path(tolchain.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", script + _REPORT, *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -47,13 +42,17 @@ def _probe(script, argv=()):
     ids=["analyze", "verify", "solve", "simulate"],
 )
 def test_only_sampling_commands_load_numpy_and_scipy(actuator_file, tmp_path, argv, loaded):
-    result = _probe(_CLI, [*argv, "--chain", str(actuator_file), "--output", str(tmp_path / "r.json")])
+    result = _probe([*argv, "--chain", str(actuator_file), "--output", str(tmp_path / "r.json")])
     assert result == {"code": 0, "loaded": loaded}
 
 
 def test_respecify_and_worst_case_load_no_sampling_stack():
-    result = _probe("from tolchain import respecify, worst_case\ncode = 0")
-    assert result == {"code": 0, "loaded": []}
+    src = str(Path(tolchain.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import json, sys\nfrom tolchain import respecify, worst_case\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert not {"numpy", "scipy"} & set(json.loads(proc.stdout))
 
 
 def test_public_names_come_from_the_submodules():
