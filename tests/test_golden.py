@@ -55,9 +55,23 @@ CASES = {
     ),
     "simulate-output-w1": ([*EXPORT, "--workers", "1"], EXPORT_HASHES),
     "simulate-output-w2": ([*EXPORT, "--workers", "2"], EXPORT_HASHES),
+    # n not a multiple of 4, across a 65536-sample chunk and several export
+    # row blocks, with an uneven split over three threads.
+    "simulate-output-odd-w3": (
+        ["simulate", *CHAIN, "--samples", "65541", "--seed", "7", "--workers", "3", "--output", "r.json"],
+        {
+            "r.json": "fbb3d6d2c1a384c26d07a2aab7a0203c60d9012f85622f88da8c2bf81d1b54e1",
+            "r.samples.csv": "943ddc9d1a7cbbafd436086178ef598c5b1c3e1895cff84cf5d82df72ab00816",
+            "r.hist.csv": "622f5eac5c3dbe4b8b7a17399c46c182ac49d3fbfcfe8249c22b7fb7c1caf28e",
+        },
+    ),
     "synthesize": (
         ["synthesize", *CHAIN, "--samples", "2000", "--target-scrap", "0.05"],
         {"-": "03fcd898934e789d2082f96b90ac004c809ff0ce05e8f326977aead0ed869bf3"},
+    ),
+    "synthesize-odd-w2": (
+        ["synthesize", *CHAIN, "--samples", "100003", "--workers", "2", "--target-scrap", "0.05"],
+        {"-": "231b78f8c9cf9ed69dda59eac3e56ef70f7e56b77dd4489750b561869b5ffc2e"},
     ),
 }
 
