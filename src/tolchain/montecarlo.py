@@ -15,7 +15,7 @@ import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Any, ClassVar, Mapping, Sequence
+from typing import Any, ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.random import Philox
@@ -48,6 +48,9 @@ __all__ = [
 # Philox advances its counter in blocks of four 64-bit words, so chunk
 # boundaries must stay multiples of four for block-aligned restarts.
 _CHUNK = 65536
+# Rows per block of the samples export: a multiple of 4, and small enough
+# that a block's re-drawn columns and text stay a few hundred kilobytes.
+_EXPORT_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -144,13 +147,17 @@ class SampleBatch:
 
     ``fc_samples[k]`` is exactly the signed sum of the per-dimension samples at
     row ``k``, accumulated in chain order, so summing the per-dimension arrays
-    in that order reproduces it bit-for-bit. Arrays are read-only.
+    in that order reproduces it bit-for-bit. Only ``fc_samples`` is held in
+    memory: each ``per_dimension`` column is re-drawn from its stream on
+    access, and ``moments`` holds each dimension's sample mean and stdev,
+    taken from the full draw. Arrays are read-only.
     """
 
     chain_name: str
     n: int
     seed: int
-    per_dimension: Mapping[str, np.ndarray]
+    per_dimension: _Columns
+    moments: Mapping[str, tuple[float, float]]
     fc_samples: np.ndarray
     fc_name: str
 
@@ -168,16 +175,42 @@ def _normal_chunk(
 
 
 def _sample_dimension(
-    seed: int, dim_index: int, n: int, params: DistributionParams, pool: ThreadPoolExecutor | None
+    seed: int, dim_index: int, params: DistributionParams, out: np.ndarray, size: int,
+    pool: ThreadPoolExecutor | None,
 ) -> np.ndarray:
-    def chunk(start: int) -> np.ndarray:
-        return _normal_chunk(seed, dim_index, start, min(_CHUNK, n - start), params.mean, params.sigma)
+    """Fills ``out`` with the dimension's first ``out.size`` draws, ``size`` (a multiple of 4) per chunk."""
+    n = out.shape[0]
 
-    out = np.empty(n, dtype=np.float64)
-    starts = range(0, n, _CHUNK)
-    for start, values in zip(starts, (map if pool is None else pool.map)(chunk, starts)):
-        out[start : start + values.shape[0]] = values
+    def fill(start: int) -> None:
+        out[start : start + size] = _normal_chunk(
+            seed, dim_index, start, min(size, n - start), params.mean, params.sigma
+        )
+
+    list((map if pool is None else pool.map)(fill, range(0, n, size)))
     return out
+
+
+class _Columns(Mapping[str, np.ndarray]):
+    """Each dimension's samples, re-drawn from its Philox stream on every access."""
+
+    def __init__(self, seed: int, n: int, streams: dict[str, tuple[int, DistributionParams]]) -> None:
+        self._seed, self._n, self._streams = seed, n, streams
+
+    def rows(self, start: int, count: int) -> list[np.ndarray]:
+        """Rows [start, start+count) of every column. ``start`` must be a multiple of 4."""
+        return [_normal_chunk(self._seed, i, start, count, p.mean, p.sigma) for i, p in self._streams.values()]
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        index, params = self._streams[name]
+        column = _sample_dimension(self._seed, index, params, np.empty(self._n), _CHUNK, None)
+        column.setflags(write=False)
+        return column
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._streams)
+
+    def __len__(self) -> int:
+        return len(self._streams)
 
 
 def sample_chain(
@@ -188,7 +221,8 @@ def sample_chain(
     Dimension ``i`` uses its own Philox stream keyed by ``(seed, i)``; sample
     ``k`` always consumes word ``k`` of that stream. ``workers`` only controls
     how many threads evaluate chunks; the output is bit-identical for any
-    worker count.
+    worker count. Each dimension is drawn into one reused buffer, so peak
+    memory is about three arrays of ``n`` doubles for any dimension count.
 
     Args:
         chain: the chain to realize.
@@ -203,16 +237,24 @@ def sample_chain(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
+    streams = {d.name: (i, derive_distribution(d, rule)) for i, d in enumerate(chain.dimensions)}
+    # Equal chunks, each a multiple of 4 and at most _CHUNK long, in a
+    # multiple of the thread count, so that every thread gets the same share.
+    chunks = -(-n // _CHUNK)
+    chunks += -chunks % workers
+    size = (-(-n // chunks) + 3) // 4 * 4
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        per_dimension: dict[str, np.ndarray] = {}
+        moments: dict[str, tuple[float, float]] = {}
         fc = np.zeros(n, dtype=np.float64)
-        for i, d in enumerate(chain.dimensions):
-            params = derive_distribution(d, rule)
-            samples = _sample_dimension(seed, i, n, params, pool)
-            fc += d.coefficient * samples
-            samples.setflags(write=False)
-            per_dimension[d.name] = samples
+        buf = np.empty(n, dtype=np.float64)
+        for d in chain.dimensions:
+            index, params = streams[d.name]
+            _sample_dimension(seed, index, params, buf, size, pool)
+            moments[d.name] = _sample_moments(buf)
+            # The same rounding as fc += coefficient * samples.
+            np.multiply(buf, d.coefficient, out=buf)
+            fc += buf
         fc.setflags(write=False)
     finally:
         if pool is not None:
@@ -223,7 +265,8 @@ def sample_chain(
         chain_name=chain.name,
         n=n,
         seed=seed,
-        per_dimension=per_dimension,
+        per_dimension=_Columns(seed, n, streams),
+        moments=moments,
         fc_samples=fc,
         fc_name=fc_name,
     )
@@ -234,28 +277,28 @@ def statistical_interval(samples: Sequence[float] | np.ndarray, coverage_sigmas:
 
     The standard deviation uses the n-1 denominator; a single sample has
     stdev 0. The default coverage of 3 reads as the conventional 99.73%
-    two-sided normal coverage. ``coverage_sigmas`` must be finite and > 0.
+    two-sided normal coverage. ``coverage_sigmas`` must be finite and > 0,
+    and small enough that the interval's bounds and width stay finite.
     """
-    return _moments(samples, coverage_sigmas)[2]
+    return _interval(*_sample_moments(samples), coverage_sigmas)
 
 
-def _moments(
-    samples: Sequence[float] | np.ndarray, coverage_sigmas: float
-) -> tuple[float, float, IntervalResult]:
-    """Sample mean, sample standard deviation, and the statistical interval built from them."""
+def _sample_moments(samples: Sequence[float] | np.ndarray) -> tuple[float, float]:
+    """Sample mean and n-1 standard deviation (0 for a single sample)."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("statistical_interval requires a non-empty sample set")
+    return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+
+
+def _interval(mean: float, stdev: float, coverage_sigmas: float) -> IntervalResult:
+    """The statistical interval mean +/- ``coverage_sigmas`` * stdev."""
     if not (math.isfinite(coverage_sigmas) and coverage_sigmas > 0.0):
         raise ValueError(f"coverage_sigmas must be finite and > 0, got {coverage_sigmas!r}")
-    mean = float(arr.mean())
-    stdev = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    interval = IntervalResult(
-        min=mean - coverage_sigmas * stdev,
-        max=mean + coverage_sigmas * stdev,
-        it=2.0 * coverage_sigmas * stdev,
-    )
-    return mean, stdev, interval
+    bounds = (mean - coverage_sigmas * stdev, mean + coverage_sigmas * stdev, 2.0 * coverage_sigmas * stdev)
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(f"coverage_sigmas {coverage_sigmas!r} makes the interval of stdev {stdev!r} non-finite")
+    return IntervalResult(*bounds)
 
 
 @dataclass(frozen=True)
@@ -325,13 +368,18 @@ def analytic_scrap(chain: ToleranceChain, rule: SigmaRule) -> float:
 
 def samples_csv(batch: SampleBatch) -> str:
     """The batch as CSV: ``index,<dimension names...>,<fc name>``, 9 significant digits."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["index", *batch.per_dimension.keys(), batch.fc_name])
-    columns = [*batch.per_dimension.values(), batch.fc_samples]
-    for k in range(batch.n):
-        writer.writerow([k, *(format(column[k], ".9g") for column in columns)])
-    return buffer.getvalue()
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(["index", *batch.per_dimension.keys(), batch.fc_name])
+    parts = [header.getvalue()]
+    row = "%d" + ",%.9g" * (len(batch.per_dimension) + 1) + "\n"
+    # The index rides in the float block; %d prints it exactly below 2**53.
+    for start in range(0, batch.n, _EXPORT_ROWS):
+        stop = min(start + _EXPORT_ROWS, batch.n)
+        block = np.column_stack(
+            [np.arange(start, stop), *batch.per_dimension.rows(start, stop - start), batch.fc_samples[start:stop]]
+        )
+        parts.append(row * (stop - start) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def histogram_csv(samples: Sequence[float] | np.ndarray, bins: int = 50) -> str:
@@ -360,16 +408,15 @@ def batch_summary(
     chain carries a bounded condition — the observed and analytic scrap.
     """
 
-    def _stats(arr: np.ndarray) -> dict[str, Any]:
-        mean, stdev, interval = _moments(arr, coverage_sigmas)
-        return {"mean": mean, "stdev": stdev, "interval": asdict(interval)}
+    def _stats(mean: float, stdev: float) -> dict[str, Any]:
+        return {"mean": mean, "stdev": stdev, "interval": asdict(_interval(mean, stdev, coverage_sigmas))}
 
     summary: dict[str, Any] = {
         "n": batch.n,
         "seed": batch.seed,
         "coverage_sigmas": coverage_sigmas,
-        "per_dimension": {name: _stats(arr) for name, arr in batch.per_dimension.items()},
-        "fc": {"name": batch.fc_name, **_stats(batch.fc_samples)},
+        "per_dimension": {name: _stats(*moments) for name, moments in batch.moments.items()},
+        "fc": {"name": batch.fc_name, **_stats(*_sample_moments(batch.fc_samples))},
         "analytic": asdict(propagate_analytic(chain, rule)),
     }
     if chain.condition is not None and chain.condition.is_bounded:

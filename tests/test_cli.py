@@ -237,6 +237,19 @@ class TestSimulate:
         assert "invalid chain" not in err
         assert set(tmp_path.iterdir()) == before
 
+    def test_overflowing_coverage_is_blamed_not_the_chain(self, tmp_path, capsys):
+        doc = {
+            "name": "one",
+            "dimensions": [{"name": "d", "nominal": 5.0, "upper_dev": 0.1, "lower_dev": -0.1, "coefficient": 1}],
+        }
+        code, _, err = run_cli(
+            ["simulate", "--chain", str(write_chain(tmp_path, doc)), "--samples", "100", "--coverage", "1e308"],
+            capsys,
+        )
+        assert code == 2
+        assert "coverage_sigmas 1e+308" in err
+        assert "invalid chain" not in err
+
     def test_zero_bins_exits_two_without_writing(self, chain_file, tmp_path, capsys):
         before = set(tmp_path.iterdir())
         code, _, err = run_cli(

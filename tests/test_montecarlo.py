@@ -1,12 +1,13 @@
 """Monte Carlo engine: distributions, sampling, statistics, scrap, exports."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import recompute_fc
+from oracles import recompute_fc, reference_samples_csv
 from tolchain import (
     DimensionSpec,
     DistributionParams,
@@ -36,6 +37,14 @@ def _phi(x: float) -> float:
 def one_dim_chain(nominal, upper, lower, bounds=None, coefficient=1.0):
     condition = None if bounds is None else FunctionalCondition("J", bounds[0], bounds[1])
     return ToleranceChain("c", (DimensionSpec("d0", nominal, upper, lower, coefficient),), condition)
+
+
+def zero_sigma_chain():
+    dims = (
+        DimensionSpec("a", 7.0, 0.0, 0.0, 2.0),
+        DimensionSpec("b", 3.0, 0.0, 0.0, -1.0),
+    )
+    return ToleranceChain("const", dims)
 
 
 class TestSigmaRule:
@@ -152,12 +161,7 @@ class TestSampleChain:
         assert not np.array_equal(a.fc_samples, b.fc_samples)
 
     def test_zero_sigma_chain_is_exact(self):
-        dims = (
-            DimensionSpec("a", 7.0, 0.0, 0.0, 2.0),
-            DimensionSpec("b", 3.0, 0.0, 0.0, -1.0),
-        )
-        chain = ToleranceChain("const", dims)
-        batch = sample_chain(chain, IT6, 500, 9)
+        batch = sample_chain(zero_sigma_chain(), IT6, 500, 9)
         assert np.all(batch.per_dimension["a"] == 7.0)
         assert np.all(batch.per_dimension["b"] == 3.0)
         assert np.all(batch.fc_samples == 2.0 * 7.0 - 3.0)
@@ -196,6 +200,41 @@ class TestSampleChain:
             sample_chain(actuator_chain, IT6, 10, 1, workers=0)
 
 
+    @pytest.mark.parametrize("n", [5, 65_537, 100_000])
+    def test_bit_identical_for_one_two_and_three_workers(self, actuator_chain, n):
+        batches = [sample_chain(actuator_chain, IT6, n, 7, workers=workers) for workers in (1, 2, 3)]
+        for batch in batches[1:]:
+            assert np.array_equal(batch.fc_samples, batches[0].fc_samples)
+            assert batch.moments == batches[0].moments
+        assert np.array_equal(recompute_fc(actuator_chain, batches[0]), batches[0].fc_samples)
+
+    def test_moments_are_taken_from_the_full_draw(self, actuator_chain):
+        batch = sample_chain(actuator_chain, IT6, 70_000, 7, workers=2)
+        assert list(batch.moments) == list(batch.per_dimension)
+        for name, column in batch.per_dimension.items():
+            assert batch.moments[name] == (float(column.mean()), float(column.std(ddof=1)))
+
+    def test_redrawn_columns_are_equal_and_read_only(self, actuator_chain):
+        batch = sample_chain(actuator_chain, IT6, 4097, 3, workers=3)
+        first, second = batch.per_dimension["a3"], batch.per_dimension["a3"]
+        assert first is not second
+        assert np.array_equal(first, second)
+        assert not first.flags.writeable and not second.flags.writeable
+
+    def test_memory_is_bounded_for_many_dimensions(self):
+        # 16 dimensions: holding every column would trace about 19 arrays of n doubles.
+        dims = tuple(DimensionSpec(f"d{i}", 10.0 + i, 0.1, -0.1, (-1.0) ** i) for i in range(16))
+        chain = ToleranceChain("wide", dims, FunctionalCondition("J", -1.0, 1.0))
+        n = 200_000
+        tracemalloc.start()
+        try:
+            batch_summary(chain, sample_chain(chain, IT6, n, 3, workers=2), IT6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * n
+
+
 class TestStatisticalInterval:
     def test_constant_samples(self):
         result = statistical_interval([4.25] * 10, 3.0)
@@ -229,6 +268,12 @@ class TestStatisticalInterval:
     def test_infinite_coverage_is_blamed(self, samples):
         with pytest.raises(ValueError, match="coverage_sigmas must be finite"):
             statistical_interval(samples, math.inf)
+
+    @pytest.mark.parametrize("samples", [[1.0, 2.0], [1.0, 1.0]], ids=["spread", "constant"])
+    def test_overflowing_coverage_is_blamed(self, samples):
+        # 2 * 1e308 overflows, so the interval's width is inf (or nan at stdev 0).
+        with pytest.raises(ValueError, match="coverage_sigmas 1e"):
+            statistical_interval(samples, 1e308)
 
 
 class TestScrapRate:
@@ -322,6 +367,16 @@ class TestExports:
         assert first[0] == "0"
         assert first[1] == format(batch.per_dimension["a1"][0], ".9g")
         assert first[5] == format(batch.fc_samples[0], ".9g")
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 4097, 65_541])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("constant", [False, True], ids=["actuator", "zero-sigma"])
+    def test_samples_csv_matches_reference(self, actuator_chain, n, workers, constant):
+        chain = zero_sigma_chain() if constant else actuator_chain
+        batch = sample_chain(chain, IT6, n, 5, workers=workers)
+        # Compared as lines, so that a mismatch reports its first row quickly.
+        expected = reference_samples_csv(batch).splitlines(keepends=True)
+        assert samples_csv(batch).splitlines(keepends=True) == expected
 
     def test_samples_csv_ends_with_newline(self, actuator_chain):
         batch = sample_chain(actuator_chain, IT6, 2, 1)
