@@ -199,7 +199,6 @@ class TestSampleChain:
         with pytest.raises(ValueError, match="workers"):
             sample_chain(actuator_chain, IT6, 10, 1, workers=0)
 
-
     @pytest.mark.parametrize("n", [5, 65_537, 100_000])
     def test_bit_identical_for_one_two_and_three_workers(self, actuator_chain, n):
         batches = [sample_chain(actuator_chain, IT6, n, 7, workers=workers) for workers in (1, 2, 3)]
