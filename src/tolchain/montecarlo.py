@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, ClassVar, Iterator, Mapping, Sequence
@@ -229,7 +230,7 @@ def sample_chain(
         rule: tolerance-to-sigma mapping for every dimension.
         n: number of realizations, >= 1.
         seed: 64-bit unsigned stream selector.
-        workers: thread count for chunk evaluation (>= 1).
+        workers: thread count for chunk evaluation (>= 1), capped at the core count.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -243,7 +244,7 @@ def sample_chain(
     chunks = -(-n // _CHUNK)
     chunks += -chunks % workers
     size = (-(-n // chunks) + 3) // 4 * 4
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) if workers > 1 else None
     try:
         moments: dict[str, tuple[float, float]] = {}
         fc = np.zeros(n, dtype=np.float64)

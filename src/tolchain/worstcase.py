@@ -8,8 +8,8 @@ max) or down (for the min).
 
 from __future__ import annotations
 
-import math
-from typing import Iterable
+import struct
+from typing import Callable, Iterable
 
 from .model import (
     ConformityStatus,
@@ -91,63 +91,61 @@ def verify_worst_case(chain: ToleranceChain) -> ConformityVerdict:
     return ConformityVerdict(status, computed, condition)
 
 
+def _widest(fits: Callable[[float], bool]) -> float:
+    """Largest finite double that ``fits``, which holds up to some double and fails above it.
+
+    Bisects over keys that order the doubles as the reals (the bits as an integer,
+    sign bit cleared and negated when negative). Returns the lowest double if none fits.
+    """
+    def double(key: int) -> float:
+        return struct.unpack("<d", struct.pack("<Q", key if key >= 0 else (1 << 63) - key))[0]
+
+    lo, hi = -0x7FEFFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF  # the keys of the extreme finite doubles
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if fits(double(mid)):
+            lo = mid
+        else:
+            hi = mid - 1
+    return double(lo)
+
+
 def solve_unknown(chain: ToleranceChain, unknown: str) -> DimensionSpec:
     """Widest deviations for one dimension so the whole chain conforms.
 
     The named dimension's deviations are ignored; every other dimension is
-    taken as specified. The imposed condition must carry both bounds. The
-    extreme-value relations are linear in the unknown limits, so inverting
-    them gives the maximal deviations directly; the result is nudged inward
-    by at most a few ulps when rounding would overshoot a bound.
+    taken as specified. The imposed condition must carry both bounds. Each
+    limit moves one extreme of the worst-case sum, monotonically even under
+    rounding, so one bisection per limit finds the widest conforming deviation;
+    one double further breaks conformity. Each reads ``limit - nominal`` if exact.
 
     Raises:
         ValueError: the name is absent, or the condition lacks a bound.
+        ChainValidationError: the other dimensions' worst case is not finite.
         InfeasibleToleranceError: no deviations fit (available IT negative).
     """
     condition = chain.condition
     if condition is None or condition.imposed_min is None or condition.imposed_max is None:
         raise ValueError("solve_unknown requires an imposed condition with both bounds")
-    index = chain.index_of(unknown)
-    target = chain.dimensions[index]
+    target = chain.dimension(unknown)
+    worst_case(respecify(chain, unknown, 0.0, 0.0))  # an overflow is the chain's fault, as in analyze
 
-    known_min, known_max = _extremes(d for i, d in enumerate(chain.dimensions) if i != index)
+    def fits(deviation: float, upper: bool) -> bool:
+        # The upper limit of a positive term moves the max; of a negative one, the min.
+        low, high = _extremes(respecify(chain, unknown, deviation, deviation).dimensions)
+        return high <= condition.imposed_max if (target.coefficient > 0) == upper else low >= condition.imposed_min
 
-    a = target.coefficient
-    if a > 0:
-        upper = (condition.imposed_max - known_max) / a - target.nominal
-        lower = (condition.imposed_min - known_min) / a - target.nominal
-    else:
-        upper = (condition.imposed_min - known_min) / a - target.nominal
-        lower = (condition.imposed_max - known_max) / a - target.nominal
+    def tidy(deviation: float) -> float:
+        exact = (target.nominal + deviation) - target.nominal
+        return exact if target.nominal + exact == target.nominal + deviation else deviation
 
-    if lower > upper:
-        raise InfeasibleToleranceError(
-            f"dimension {unknown!r} cannot satisfy condition {condition.name!r}: "
-            f"available IT is negative ({upper - lower:.6g})"
-        )
-
-    # Rounding in the divisions above can overshoot a bound by an ulp; walk
-    # the offending deviation inward until the completed chain conforms.
-    for _ in range(64):
+    upper = tidy(_widest(lambda d: fits(d, True)))
+    lower = tidy(-_widest(lambda d: fits(-d, False)))
+    if lower <= upper:
         completed = respecify(chain, unknown, upper, lower)
-        verdict = verify_worst_case(completed)
-        if verdict.status is ConformityStatus.CONFORMING:
-            return completed.dimensions[index]
-        if verdict.status in (ConformityStatus.NON_CONFORMING_HIGH, ConformityStatus.NON_CONFORMING_BOTH):
-            if a > 0:
-                upper = math.nextafter(upper, -math.inf)
-            else:
-                lower = math.nextafter(lower, math.inf)
-        if verdict.status in (ConformityStatus.NON_CONFORMING_LOW, ConformityStatus.NON_CONFORMING_BOTH):
-            if a > 0:
-                lower = math.nextafter(lower, math.inf)
-            else:
-                upper = math.nextafter(upper, -math.inf)
-        if lower > upper:
-            raise InfeasibleToleranceError(
-                f"dimension {unknown!r} cannot satisfy condition {condition.name!r}: "
-                "available IT is negative"
-            )
+        if verify_worst_case(completed).status is ConformityStatus.CONFORMING:
+            return completed.dimension(unknown)
     raise InfeasibleToleranceError(
-        f"dimension {unknown!r}: could not settle deviations inside condition {condition.name!r}"
+        f"dimension {unknown!r} cannot satisfy condition {condition.name!r}: "
+        f"available IT is negative ({upper - lower:.6g})"
     )

@@ -2,10 +2,11 @@
 
 import csv
 import io
+import math
 
 import numpy as np
 
-from tolchain import SampleBatch, ToleranceChain
+from tolchain import DimensionSpec, SampleBatch, ToleranceChain, respecify
 
 
 def recompute_fc(chain: ToleranceChain, batch: SampleBatch) -> np.ndarray:
@@ -32,3 +33,20 @@ def reference_samples_csv(batch: SampleBatch) -> str:
     for k in range(batch.n):
         writer.writerow([k, *(format(column[k], ".9g") for column in columns)])
     return buffer.getvalue()
+
+
+def one_double_wider(chain: ToleranceChain, solved: DimensionSpec) -> list[ToleranceChain]:
+    """The chain with ``solved`` in place and one of its limits moved one double outward.
+
+    The moved deviation is ``nextafter(limit, +/-inf) - nominal``. A move whose
+    deviation leaves the limit where it was is dropped, so the list may hold
+    fewer than the two chains, upper limit first.
+    """
+    chains = []
+    up = math.nextafter(solved.max_limit, math.inf) - solved.nominal
+    if solved.nominal + up != solved.max_limit:
+        chains.append(respecify(chain, solved.name, up, solved.lower_dev))
+    down = math.nextafter(solved.min_limit, -math.inf) - solved.nominal
+    if solved.nominal + down != solved.min_limit:
+        chains.append(respecify(chain, solved.name, solved.upper_dev, down))
+    return chains

@@ -4,12 +4,16 @@ Two families of strategies exist for two kinds of assertions. The general
 family draws values on decimal grids wide enough that distinct worst-case
 corners differ by far more than accumulated rounding (ITs are multiples of
 1e-6 and |coefficient| >= 0.01, so corner gaps are at least ~1e-8 while the
-rounding noise of a ten-term stack sits around 1e-12). The dyadic family
-draws everything as small multiples of negative powers of two, which makes
-every product and sum in the engine exact in double precision — the right
-setting for asserting translation, monotonicity, and midpoint preservation
-with `==` instead of tolerances.
+rounding noise of a ten-term stack sits around 1e-12). Its decimal values are
+not exact in binary, so every sum rounds; ``solvable_chains`` uses them to
+check that ``solve`` finds the widest conforming limits under that rounding.
+The dyadic family draws everything as small multiples of negative powers of
+two, which makes every product and sum in the engine exact in double
+precision — the right setting for asserting translation, monotonicity, and
+midpoint preservation with `==` instead of tolerances.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -50,6 +54,25 @@ def chains(draw, max_dims: int = 10, condition: str = "never") -> ToleranceChain
             lo, hi = hi, lo
         cond = FunctionalCondition("J", lo, hi)
     return ToleranceChain("chain", dims, cond)
+
+
+@st.composite
+def solvable_chains(draw, max_dims: int = 6) -> tuple[ToleranceChain, str]:
+    """A chain with both bounds and the name of a dimension that ``solve`` can fit.
+
+    The window is the other dimensions' worst case, with the unknown pinned at
+    its nominal, widened on each side by a slack of at least 0.001, far above
+    the rounding of the stack. So it is wider than the other dimensions'
+    combined budget, and the unknown keeps a nonempty zone.
+    """
+    k = draw(st.integers(1, max_dims))
+    dims = [draw(dimensions(index=i)) for i in range(k)]
+    unknown = draw(st.integers(0, k - 1))
+    pinned = dims[:unknown] + [replace(dims[unknown], upper_dev=0.0, lower_dev=0.0)] + dims[unknown + 1 :]
+    lo, hi = corner_extremes(ToleranceChain("pinned", tuple(pinned)))
+    slack = draw(st.tuples(_decimal(1_000, 1_000_000, 1e6), _decimal(1_000, 1_000_000, 1e6)))
+    condition = FunctionalCondition("J", round(lo - slack[0], 6), round(hi + slack[1], 6))
+    return ToleranceChain("chain", tuple(dims), condition), dims[unknown].name
 
 
 # --- dyadic family (every engine operation is exact on these inputs) ---------

@@ -189,6 +189,7 @@ def test_criterion_9_property_suites():
     from test_properties import (
         test_adjustment_preserves_midpoint,
         test_round_trip_survives_serialization,
+        test_solve_is_conforming_and_widest,
         test_translation_shifts_extremes_exactly,
         test_widening_never_shrinks_interval,
     )
@@ -198,10 +199,11 @@ def test_criterion_9_property_suites():
         "translation": test_translation_shifts_extremes_exactly,
         "monotonicity": test_widening_never_shrinks_interval,
         "midpoint-preservation": test_adjustment_preserves_midpoint,
+        "widest-solve": test_solve_is_conforming_and_widest,
     }
     for name, suite in suites.items():
         cases = suite._hypothesis_internal_use_settings.max_examples
         assert cases >= 200, f"{name} suite runs only {cases} cases"
         suite()
-    _report(9, "four invariant property suites hold at >= 200 cases each", True,
+    _report(9, "five invariant property suites hold at >= 200 cases each", True,
             ", ".join(suites))

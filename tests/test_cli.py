@@ -125,6 +125,15 @@ class TestSolve:
         assert out == ""
         assert "infeasible" in err
 
+    def test_overflowing_chain_is_blamed_not_the_condition(self, tmp_path, capsys):
+        doc = copy.deepcopy(ACTUATOR_DOC)
+        doc["dimensions"][0].update(nominal=1e308, upper_dev=1e308)  # a1's max limit is inf
+        path = write_chain(tmp_path, doc)
+        for argv in (["analyze"], ["verify"], ["solve", "--unknown", "a3"]):
+            code, out, err = run_cli([*argv, "--chain", str(path)], capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("tolchain: invalid chain: interval max must be finite")
+
     def test_unknown_flag_is_required(self, chain_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--chain", str(chain_file)])

@@ -1,6 +1,7 @@
 """Monte Carlo engine: distributions, sampling, statistics, scrap, exports."""
 
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import recompute_fc, reference_samples_csv
+from tolchain import montecarlo
 from tolchain import (
     DimensionSpec,
     DistributionParams,
@@ -206,6 +208,29 @@ class TestSampleChain:
             assert np.array_equal(batch.fc_samples, batches[0].fc_samples)
             assert batch.moments == batches[0].moments
         assert np.array_equal(recompute_fc(actuator_chain, batches[0]), batches[0].fc_samples)
+
+    @pytest.mark.parametrize("cores, threads", [(None, 1), (2, 2), (4, 4)])
+    def test_pool_is_capped_at_the_core_count(self, actuator_chain, monkeypatch, cores, threads):
+        pools = []
+
+        class SerialPool:
+            """Records the pool size asked for and runs each map in the calling thread."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        # 1000 workers still split the draw into 1000 chunks of 100 samples.
+        batch = sample_chain(actuator_chain, IT6, 100_000, 7, workers=1000)
+        assert pools == [threads]
+        assert batch.fc_samples.tobytes() == sample_chain(actuator_chain, IT6, 100_000, 7).fc_samples.tobytes()
 
     def test_moments_are_taken_from_the_full_draw(self, actuator_chain):
         batch = sample_chain(actuator_chain, IT6, 70_000, 7, workers=2)

@@ -1,10 +1,10 @@
 """Property-based invariants.
 
-The first four tests are the library's core invariants (round-trip,
-translation, monotonicity, midpoint preservation) and run with enlarged case
-counts; the dyadic strategies make their equalities exact rather than
-approximate. The rest cross-check the engines against brute-force oracles and
-each other.
+The first five tests are the library's core invariants (round-trip,
+translation, monotonicity, midpoint preservation, the widest solve) and run
+with enlarged case counts; the dyadic strategies make the equalities of the
+middle three exact rather than approximate. The rest cross-check the engines
+against brute-force oracles and each other.
 """
 
 import math
@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import recompute_fc
+from oracles import one_double_wider, recompute_fc
 from strategies import (
     chains,
     corner_extremes,
@@ -22,8 +22,10 @@ from strategies import (
     dyadic_dimensions,
     dyadic_shifts,
     dyadic_widenings,
+    solvable_chains,
 )
 from tolchain import (
+    ConformityStatus,
     FunctionalCondition,
     SigmaRule,
     analytic_scrap,
@@ -34,6 +36,8 @@ from tolchain import (
     sample_chain,
     scaled_deviations,
     serialize_chain,
+    solve_unknown,
+    verify_worst_case,
     worst_case,
 )
 
@@ -95,6 +99,19 @@ def test_adjustment_preserves_midpoint(dimension, factor, widen):
     assert adjusted.nominal == dimension.nominal
     assert adjusted.midpoint == dimension.midpoint
     assert adjusted.it == scale * dimension.it
+
+
+@settings(max_examples=200, deadline=None)
+@given(solvable_chains())
+def test_solve_is_conforming_and_widest(case):
+    chain, name = case
+    solved = solve_unknown(chain, name)
+    completed = respecify(chain, name, solved.upper_dev, solved.lower_dev)
+    assert verify_worst_case(completed).status is ConformityStatus.CONFORMING
+    wider = one_double_wider(chain, solved)
+    assume(len(wider) == 2)
+    for moved in wider:
+        assert verify_worst_case(moved).status is not ConformityStatus.CONFORMING
 
 
 @settings(max_examples=200, deadline=None)

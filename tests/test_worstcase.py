@@ -19,6 +19,7 @@ from tolchain import (
 )
 
 from conftest import make_actuator_chain
+from oracles import one_double_wider
 
 
 class TestWorstCase:
@@ -157,6 +158,33 @@ class TestSolveUnknown:
             replace(d, upper_dev=d.upper_dev + 1e-9) if d.name == "a3" else d for d in dims
         ))
         assert verify_worst_case(wider).status is not ConformityStatus.CONFORMING
+
+    def test_actuator_limits_are_the_widest_doubles(self, actuator_chain):
+        solved = solve_unknown(actuator_chain, "a3")
+        assert (solved.max_limit, solved.min_limit) == (4.200000000000004, 3.7999999999999985)
+        wider = one_double_wider(actuator_chain, solved)
+        assert len(wider) == 2
+        for chain in wider:
+            assert verify_worst_case(chain).status is not ConformityStatus.CONFORMING
+
+    def test_decimal_overshoot_is_solved(self):
+        # No input is exact in binary, and dividing the window out overshoots a bound.
+        chain = ToleranceChain(
+            "c",
+            (
+                DimensionSpec("a", 15.802, 0.1, -0.1, 1.0),
+                DimensionSpec("b", 33.565, 0.05, -0.05, -1.0),
+            ),
+            FunctionalCondition("J", -18.06, -17.46),
+        )
+        solved = solve_unknown(chain, "b")
+        assert solved.it == pytest.approx(0.4, abs=1e-12)
+        completed = replace(chain, dimensions=(chain.dimensions[0], solved))
+        assert verify_worst_case(completed).status is ConformityStatus.CONFORMING
+        wider = one_double_wider(chain, solved)
+        assert len(wider) == 2
+        for moved in wider:
+            assert verify_worst_case(moved).status is not ConformityStatus.CONFORMING
 
     def test_single_unknown_dimension(self):
         chain = ToleranceChain(
