@@ -16,6 +16,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Any, ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -163,31 +164,20 @@ class SampleBatch:
     fc_name: str
 
 
-def _normal_chunk(
-    seed: int, dim_index: int, start: int, count: int, mean: float, sigma: float
-) -> np.ndarray:
-    """Draws [start, start+count) of the dimension's stream. ``start`` must be a multiple of 4."""
-    key = np.array([seed, dim_index], dtype=np.uint64)
-    bits = Philox(counter=start // 4, key=key).random_raw(count)
+def _normal_chunk(seed: int, index: int, params: DistributionParams, start: int, out: np.ndarray) -> np.ndarray:
+    """Fills ``out`` with draws [start, start+out.size) of stream ``index``. ``start`` must be a multiple of 4."""
+    key = np.array([seed, index], dtype=np.uint64)
+    bits = Philox(counter=start // 4, key=key).random_raw(out.size)
     # Top 53 bits, centered on the open interval (0, 1): never 0 or 1, so the
-    # inverse CDF below stays finite.
-    uniforms = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return mean + sigma * ndtri(uniforms)
-
-
-def _sample_dimension(
-    seed: int, dim_index: int, params: DistributionParams, out: np.ndarray, size: int,
-    pool: ThreadPoolExecutor | None,
-) -> np.ndarray:
-    """Fills ``out`` with the dimension's first ``out.size`` draws, ``size`` (a multiple of 4) per chunk."""
-    n = out.shape[0]
-
-    def fill(start: int) -> None:
-        out[start : start + size] = _normal_chunk(
-            seed, dim_index, start, min(size, n - start), params.mean, params.sigma
-        )
-
-    list((map if pool is None else pool.map)(fill, range(0, n, size)))
+    # inverse CDF below stays finite. In place, with the rounding of
+    # mean + sigma * ndtri((top + 0.5) * 2**-53).
+    bits >>= np.uint64(11)
+    out[...] = bits
+    out += 0.5
+    out *= 2.0**-53
+    ndtri(out, out=out)
+    out *= params.sigma
+    out += params.mean
     return out
 
 
@@ -199,11 +189,13 @@ class _Columns(Mapping[str, np.ndarray]):
 
     def rows(self, start: int, count: int) -> list[np.ndarray]:
         """Rows [start, start+count) of every column. ``start`` must be a multiple of 4."""
-        return [_normal_chunk(self._seed, i, start, count, p.mean, p.sigma) for i, p in self._streams.values()]
+        return [_normal_chunk(self._seed, i, p, start, np.empty(count)) for i, p in self._streams.values()]
 
     def __getitem__(self, name: str) -> np.ndarray:
         index, params = self._streams[name]
-        column = _sample_dimension(self._seed, index, params, np.empty(self._n), _CHUNK, None)
+        column = np.empty(self._n)
+        for start in range(0, self._n, _CHUNK):
+            _normal_chunk(self._seed, index, params, start, column[start : start + _CHUNK])
         column.setflags(write=False)
         return column
 
@@ -222,8 +214,9 @@ def sample_chain(
     Dimension ``i`` uses its own Philox stream keyed by ``(seed, i)``; sample
     ``k`` always consumes word ``k`` of that stream. ``workers`` only controls
     how many threads evaluate chunks; the output is bit-identical for any
-    worker count. Each dimension is drawn into one reused buffer, so peak
-    memory is about three arrays of ``n`` doubles for any dimension count.
+    worker count. Each dimension is drawn into one reused buffer, whose
+    moments are then taken in place, so peak memory is about two arrays of
+    ``n`` doubles for any dimension count.
 
     Args:
         chain: the chain to realize.
@@ -244,18 +237,22 @@ def sample_chain(
     chunks = -(-n // _CHUNK)
     chunks += -chunks % workers
     size = (-(-n // chunks) + 3) // 4 * 4
+    fc = np.zeros(n, dtype=np.float64)
+    buf = np.empty(n, dtype=np.float64)
+
+    def draw(dimension: DimensionSpec, start: int) -> None:
+        index, params = streams[dimension.name]
+        draws = _normal_chunk(seed, index, params, start, buf[start : start + size])
+        # fc += coefficient * samples, one slice per job: the operations are
+        # elementwise, so the chunking changes no bit.
+        fc[start : start + size] += dimension.coefficient * draws
+
     pool = ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) if workers > 1 else None
     try:
         moments: dict[str, tuple[float, float]] = {}
-        fc = np.zeros(n, dtype=np.float64)
-        buf = np.empty(n, dtype=np.float64)
         for d in chain.dimensions:
-            index, params = streams[d.name]
-            _sample_dimension(seed, index, params, buf, size, pool)
-            moments[d.name] = _sample_moments(buf)
-            # The same rounding as fc += coefficient * samples.
-            np.multiply(buf, d.coefficient, out=buf)
-            fc += buf
+            list((map if pool is None else pool.map)(partial(draw, d), range(0, n, size)))
+            moments[d.name] = _moments_in_place(buf)
         fc.setflags(write=False)
     finally:
         if pool is not None:
@@ -286,10 +283,21 @@ def statistical_interval(samples: Sequence[float] | np.ndarray, coverage_sigmas:
 
 def _sample_moments(samples: Sequence[float] | np.ndarray) -> tuple[float, float]:
     """Sample mean and n-1 standard deviation (0 for a single sample)."""
-    arr = np.asarray(samples, dtype=np.float64)
+    arr = np.array(samples, dtype=np.float64)  # a copy, which the moments overwrite
     if arr.size == 0:
         raise ValueError("statistical_interval requires a non-empty sample set")
-    return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    return _moments_in_place(arr)
+
+
+def _moments_in_place(x: np.ndarray) -> tuple[float, float]:
+    """``(x.mean(), x.std(ddof=1))``, or stdev 0 for one element, by numpy's own steps; overwrites ``x``."""
+    n = x.size
+    mean = float(x.sum()) / n
+    if n == 1:
+        return mean, 0.0
+    np.subtract(x, mean, out=x)
+    np.square(x, out=x)
+    return mean, math.sqrt(float(x.sum()) / (n - 1))
 
 
 def _interval(mean: float, stdev: float, coverage_sigmas: float) -> IntervalResult:

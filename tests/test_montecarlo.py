@@ -2,8 +2,9 @@
 
 import math
 import os
+import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tolchain import (
     DimensionSpec,
     DistributionParams,
     FunctionalCondition,
+    IntervalResult,
     SigmaRule,
     ToleranceChain,
     analytic_scrap,
@@ -47,6 +49,21 @@ def zero_sigma_chain():
         DimensionSpec("b", 3.0, 0.0, 0.0, -1.0),
     )
     return ToleranceChain("const", dims)
+
+
+def wide_chain():
+    dims = tuple(DimensionSpec(f"d{i}", 10.0 + i, 0.1, -0.1, (-1.0) ** i) for i in range(16))
+    return ToleranceChain("wide", dims, FunctionalCondition("J", -1.0, 1.0))
+
+
+def traced_peak(run):
+    """Peak bytes that tracemalloc sees while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSigmaRule:
@@ -209,6 +226,18 @@ class TestSampleChain:
             assert batch.moments == batches[0].moments
         assert np.array_equal(recompute_fc(actuator_chain, batches[0]), batches[0].fc_samples)
 
+    def test_threads_lose_no_update_to_the_condition_sum(self, actuator_chain):
+        # Every chunk job adds its own slice of fc; a short switch interval
+        # interleaves the threads as often as the interpreter allows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = sample_chain(actuator_chain, IT6, 300_001, 5, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(recompute_fc(actuator_chain, batch), batch.fc_samples)
+        assert np.array_equal(sample_chain(actuator_chain, IT6, 300_001, 5).fc_samples, batch.fc_samples)
+
     @pytest.mark.parametrize("cores, threads", [(None, 1), (2, 2), (4, 4)])
     def test_pool_is_capped_at_the_core_count(self, actuator_chain, monkeypatch, cores, threads):
         pools = []
@@ -232,11 +261,22 @@ class TestSampleChain:
         assert pools == [threads]
         assert batch.fc_samples.tobytes() == sample_chain(actuator_chain, IT6, 100_000, 7).fc_samples.tobytes()
 
-    def test_moments_are_taken_from_the_full_draw(self, actuator_chain):
-        batch = sample_chain(actuator_chain, IT6, 70_000, 7, workers=2)
+    @pytest.mark.parametrize("n", [1, 2, 5, 4097, 65_541, 70_000])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_moments_are_taken_from_the_full_draw(self, actuator_chain, n, workers):
+        batch = sample_chain(actuator_chain, IT6, n, 7, workers=workers)
         assert list(batch.moments) == list(batch.per_dimension)
+
+        def numpy_moments(samples):
+            return float(samples.mean()), float(samples.std(ddof=1)) if n > 1 else 0.0
+
         for name, column in batch.per_dimension.items():
-            assert batch.moments[name] == (float(column.mean()), float(column.std(ddof=1)))
+            assert batch.moments[name] == numpy_moments(column)
+        mean, stdev = numpy_moments(batch.fc_samples)
+        expected = IntervalResult(mean - 2.5 * stdev, mean + 2.5 * stdev, 2.0 * 2.5 * stdev)
+        assert statistical_interval(batch.fc_samples, 2.5) == expected
+        fc = batch_summary(actuator_chain, batch, IT6, 2.5)["fc"]
+        assert (fc["mean"], fc["stdev"], fc["interval"]) == (mean, stdev, asdict(expected))
 
     def test_redrawn_columns_are_equal_and_read_only(self, actuator_chain):
         batch = sample_chain(actuator_chain, IT6, 4097, 3, workers=3)
@@ -246,17 +286,20 @@ class TestSampleChain:
         assert not first.flags.writeable and not second.flags.writeable
 
     def test_memory_is_bounded_for_many_dimensions(self):
-        # 16 dimensions: holding every column would trace about 19 arrays of n doubles.
-        dims = tuple(DimensionSpec(f"d{i}", 10.0 + i, 0.1, -0.1, (-1.0) ** i) for i in range(16))
-        chain = ToleranceChain("wide", dims, FunctionalCondition("J", -1.0, 1.0))
-        n = 200_000
-        tracemalloc.start()
-        try:
-            batch_summary(chain, sample_chain(chain, IT6, n, 3, workers=2), IT6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * 8 * n
+        # 16 dimensions: holding every column would trace about 19 arrays of n
+        # doubles. The sampler holds fc, one buffer and a chunk of bits per
+        # thread (here a quarter of n each); batch_summary's fc moments then
+        # take a copy of fc.
+        chain, n = wide_chain(), 200_000
+        peak = traced_peak(lambda: batch_summary(chain, sample_chain(chain, IT6, n, 3, workers=2), IT6))
+        assert peak <= 3 * 8 * n
+
+    def test_sampler_holds_two_arrays_of_n(self):
+        # fc and the reused buffer, whose moments are taken in place, plus a
+        # 62500-sample chunk of bits per thread: about 2.13 arrays of n doubles.
+        chain, n = wide_chain(), 1_000_000
+        peak = traced_peak(lambda: sample_chain(chain, IT6, n, 3, workers=2))
+        assert peak <= 2.5 * 8 * n
 
 
 class TestStatisticalInterval:
