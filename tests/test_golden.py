@@ -71,6 +71,11 @@ CASES = {
         ["synthesize", *CHAIN, "--samples", "2000", "--target-scrap", "0.05"],
         {"-": "03fcd898934e789d2082f96b90ac004c809ff0ce05e8f326977aead0ed869bf3"},
     ),
+    # The per-iteration list flattened into indexed keys, over all 50 iterations.
+    "synthesize-csv": (
+        ["synthesize", *CHAIN, "--samples", "2000", "--target-scrap", "0.05", "--format", "csv"],
+        {"-": "53cec2e7b5f86d573864e643c053e286a711fa6b8fa25b3410ca67fe279a8ddc"},
+    ),
     "synthesize-odd-w2": (
         ["synthesize", *CHAIN, "--samples", "100003", "--workers", "2", "--target-scrap", "0.05"],
         {"-": "231b78f8c9cf9ed69dda59eac3e56ef70f7e56b77dd4489750b561869b5ffc2e"},
