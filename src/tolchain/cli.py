@@ -283,10 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ChainSyntaxError, ChainValidationError) as exc:
         print(f"tolchain: invalid chain: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"tolchain: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"tolchain: {exc}", file=sys.stderr)
         return 2
 

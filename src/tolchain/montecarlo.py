@@ -30,6 +30,7 @@ from .model import (
     ToleranceChain,
     check_seed,
 )
+from .worstcase import worst_case
 
 __all__ = [
     "DistributionParams",
@@ -216,7 +217,8 @@ def sample_chain(
     how many threads evaluate chunks; the output is bit-identical for any
     worker count. Each dimension is drawn into one reused buffer, whose
     moments are then taken in place, so peak memory is about two arrays of
-    ``n`` doubles for any dimension count.
+    ``n`` doubles for any dimension count. A chain whose worst case overflows
+    raises ``ChainValidationError`` before anything is drawn.
 
     Args:
         chain: the chain to realize.
@@ -230,12 +232,14 @@ def sample_chain(
     check_seed(seed)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    worst_case(chain)  # an overflow is the chain's fault, as in analyze
 
     streams = {d.name: (i, derive_distribution(d, rule)) for i, d in enumerate(chain.dimensions)}
     # Equal chunks, each a multiple of 4 and at most _CHUNK long, in a
     # multiple of the thread count, so that every thread gets the same share.
+    threads = min(workers, os.cpu_count() or 1)
     chunks = -(-n // _CHUNK)
-    chunks += -chunks % workers
+    chunks += -chunks % threads
     size = (-(-n // chunks) + 3) // 4 * 4
     fc = np.zeros(n, dtype=np.float64)
     buf = np.empty(n, dtype=np.float64)
@@ -247,7 +251,7 @@ def sample_chain(
         # elementwise, so the chunking changes no bit.
         fc[start : start + size] += dimension.coefficient * draws
 
-    pool = ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) if workers > 1 else None
+    pool = ThreadPoolExecutor(max_workers=threads) if workers > 1 else None
     try:
         moments: dict[str, tuple[float, float]] = {}
         for d in chain.dimensions:

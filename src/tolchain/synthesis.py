@@ -11,7 +11,7 @@ zone centers never move.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Any
 
@@ -93,7 +93,11 @@ class IterationRecord:
 class SynthesisReport:
     iterations: tuple[IterationRecord, ...]
     final_chain: ToleranceChain
-    converged: bool
+
+    @property
+    def converged(self) -> bool:
+        """True when the last iteration accepted; a stall or the iteration limit leaves it False."""
+        return self.iterations[-1].action is SynthesisAction.ACCEPT
 
 
 def scaled_deviations(dimension: DimensionSpec, scale: float) -> tuple[float, float]:
@@ -107,6 +111,24 @@ def scaled_deviations(dimension: DimensionSpec, scale: float) -> tuple[float, fl
     return center + half_width, center - half_width
 
 
+def _decide(
+    chain: ToleranceChain, effective: float, cfg: SynthesisConfig
+) -> tuple[SynthesisAction, str | None, float | None, float | None]:
+    """One step's action and, for a shrink or widen, the dimension it moves and its new deviations."""
+    if abs(effective - cfg.target_scrap) <= cfg.tolerance_band * cfg.target_scrap:
+        return SynthesisAction.ACCEPT, None, None, None
+    shrink = effective > cfg.target_scrap
+    # Scaling leaves a zero-width zone at zero, so such a zone never moves.
+    # max and min return the first of equals: ties go to chain order.
+    movable = [d for d in chain.dimensions if d.name not in cfg.frozen and d.it > 0.0]
+    picked = (max if shrink else min)(movable, key=lambda d: d.it, default=None)
+    if picked is None:
+        return SynthesisAction.STALL, None, None, None
+    if shrink:
+        return SynthesisAction.SHRINK, picked.name, *scaled_deviations(picked, 1.0 - cfg.adjustment_factor)
+    return SynthesisAction.WIDEN, picked.name, *scaled_deviations(picked, 1.0 + cfg.adjustment_factor)
+
+
 def synthesize(
     chain: ToleranceChain, rule: SigmaRule, cfg: SynthesisConfig, *, workers: int = 1
 ) -> SynthesisReport:
@@ -118,8 +140,7 @@ def synthesize(
     widest non-frozen tolerance; below it widens the narrowest non-frozen,
     nonzero one. Ties fall to chain order. When no adjustable tolerance can
     move in the required direction the loop stops unconverged (``stall``);
-    running out of iterations likewise returns ``converged=False`` with the
-    full trace.
+    running out of iterations likewise ends unconverged, with the full trace.
 
     A zero scrap estimate is trusted only when the sample size can resolve
     the target (target > 3/n, the rule-of-three bound); otherwise the exact
@@ -133,7 +154,6 @@ def synthesize(
 
     current = chain
     records: list[IterationRecord] = []
-    converged = False
     for k in range(cfg.max_iterations):
         batch = sample_chain(
             current, rule, cfg.n_per_iteration, (cfg.seed + k) % MAX_SEED, workers=workers
@@ -145,59 +165,24 @@ def synthesize(
             effective = analytic_scrap(current, rule)
             source = "analytic"
 
-        if abs(effective - cfg.target_scrap) <= cfg.tolerance_band * cfg.target_scrap:
-            records.append(
-                IterationRecord(k, current, report, effective, source, SynthesisAction.ACCEPT)
-            )
-            converged = True
+        record = IterationRecord(k, current, report, effective, source, *_decide(current, effective, cfg))
+        records.append(record)
+        if record.action in (SynthesisAction.ACCEPT, SynthesisAction.STALL):
             break
+        current = respecify(current, record.dimension, record.new_upper_dev, record.new_lower_dev)
 
-        # Scaling leaves a zero-width zone at zero, so such a zone never moves.
-        # max and min return the first of equals: ties go to chain order.
-        movable = [d for d in current.dimensions if d.name not in cfg.frozen and d.it > 0.0]
-        if effective > cfg.target_scrap:
-            picked = max(movable, key=lambda d: d.it, default=None)
-            action = SynthesisAction.SHRINK
-            scale = 1.0 - cfg.adjustment_factor
-        else:
-            picked = min(movable, key=lambda d: d.it, default=None)
-            action = SynthesisAction.WIDEN
-            scale = 1.0 + cfg.adjustment_factor
-
-        if picked is None:
-            records.append(
-                IterationRecord(k, current, report, effective, source, SynthesisAction.STALL)
-            )
-            break
-
-        new_upper, new_lower = scaled_deviations(picked, scale)
-        records.append(
-            IterationRecord(
-                k, current, report, effective, source, action,
-                dimension=picked.name, new_upper_dev=new_upper, new_lower_dev=new_lower,
-            )
-        )
-        current = respecify(current, picked.name, new_upper, new_lower)
-
-    return SynthesisReport(iterations=tuple(records), final_chain=current, converged=converged)
+    return SynthesisReport(iterations=tuple(records), final_chain=current)
 
 
 def synthesis_report_document(report: SynthesisReport) -> dict[str, Any]:
-    """The report as a plain dict (JSON-ready): per-iteration deltas plus the final chain."""
-    iterations = []
-    for record in report.iterations:
-        entry: dict[str, Any] = {
-            "index": record.index,
-            "scrap": asdict(record.scrap),
-            "effective_scrap": record.effective_scrap,
-            "scrap_source": record.scrap_source,
-            "action": record.action.value,
-        }
-        if record.dimension is not None:
-            entry["dimension"] = record.dimension
-            entry["new_upper_dev"] = record.new_upper_dev
-            entry["new_lower_dev"] = record.new_lower_dev
-        iterations.append(entry)
+    """The report as a plain dict (JSON-ready): per-iteration deltas plus the final chain.
+
+    Each entry is its record's fields in order, less the chain and a step not taken.
+    """
+    iterations = [
+        {key: value for key, value in asdict(replace(record, chain=None)).items() if value is not None}
+        for record in report.iterations
+    ]
     return {
         "converged": report.converged,
         "iterations": iterations,

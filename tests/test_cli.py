@@ -129,7 +129,10 @@ class TestSolve:
         doc = copy.deepcopy(ACTUATOR_DOC)
         doc["dimensions"][0].update(nominal=1e308, upper_dev=1e308)  # a1's max limit is inf
         path = write_chain(tmp_path, doc)
-        for argv in (["analyze"], ["verify"], ["solve", "--unknown", "a3"]):
+        for argv in (
+            ["analyze"], ["verify"], ["solve", "--unknown", "a3"],
+            ["simulate"], ["synthesize", "--target-scrap", "0.01"],
+        ):
             code, out, err = run_cli([*argv, "--chain", str(path)], capsys)
             assert (code, out) == (2, "")
             assert err.startswith("tolchain: invalid chain: interval max must be finite")

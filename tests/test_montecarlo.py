@@ -241,24 +241,29 @@ class TestSampleChain:
     @pytest.mark.parametrize("cores, threads", [(None, 1), (2, 2), (4, 4)])
     def test_pool_is_capped_at_the_core_count(self, actuator_chain, monkeypatch, cores, threads):
         pools = []
+        mapped = []
 
         class SerialPool:
-            """Records the pool size asked for and runs each map in the calling thread."""
+            """Records the pool size and the chunk count of each map; runs the chunks in the calling thread."""
 
             def __init__(self, max_workers):
                 pools.append(max_workers)
 
             def map(self, fn, iterable):
-                return map(fn, iterable)
+                starts = list(iterable)
+                mapped.append(len(starts))
+                return map(fn, starts)
 
             def shutdown(self):
                 pass
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        # 1000 workers still split the draw into 1000 chunks of 100 samples.
+        # 1000 workers are planned as the capped thread count: 1e5 samples need
+        # two chunks of at most 65536, rounded up to a multiple of the threads.
         batch = sample_chain(actuator_chain, IT6, 100_000, 7, workers=1000)
         assert pools == [threads]
+        assert mapped == [max(2, threads)] * len(actuator_chain.dimensions)
         assert batch.fc_samples.tobytes() == sample_chain(actuator_chain, IT6, 100_000, 7).fc_samples.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 5, 4097, 65_541, 70_000])
