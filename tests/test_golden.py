@@ -67,6 +67,27 @@ CASES = {
             "r.hist.csv": "622f5eac5c3dbe4b8b7a17399c46c182ac49d3fbfcfe8249c22b7fb7c1caf28e",
         },
     ),
+    # The samples export ends exactly on a 4096-row block boundary.
+    "simulate-output-block-end": (
+        ["simulate", *CHAIN, "--samples", "8192", "--seed", "7", "--workers", "1", "--output", "r.json"],
+        {
+            "r.json": "2f01a272b410ce995d9b16a0f30ca7c03f65c010b77623b62449227ab7956453",
+            "r.samples.csv": "c993019fdb4fc9a51ab4b4a01d8a305c33c63f29c9b2f898793d7fe1aaad60e4",
+            "r.hist.csv": "aa4a6981bf42353dbe4e6cad87751c37d92ddc6196dab9aad1f46ccbc42a6ffb",
+        },
+    ),
+    # One row past a block, with a CSV report.
+    "simulate-output-block-plus-one-csv": (
+        [
+            "simulate", *CHAIN, "--samples", "4097", "--seed", "7", "--workers", "2",
+            "--output", "r.json", "--format", "csv",
+        ],
+        {
+            "r.json": "5e8ac63c0d48ab2ad6931922c31af2458fac5be2369a73726db3e33c3176d108",
+            "r.samples.csv": "35518df8d0d7e3612750ae679d6feec1b3d1842b18ab12391289c40e4594af11",
+            "r.hist.csv": "83865875ec905fb2307ce3d792874a015e3f43f4bc0c16b4f6fcf2407e11a5c1",
+        },
+    ),
     "synthesize": (
         ["synthesize", *CHAIN, "--samples", "2000", "--target-scrap", "0.05"],
         {"-": "03fcd898934e789d2082f96b90ac004c809ff0ce05e8f326977aead0ed869bf3"},
