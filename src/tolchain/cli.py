@@ -24,7 +24,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from . import __version__
 from .model import ChainSyntaxError, ChainValidationError, ConformityStatus, parse_chain
@@ -141,27 +141,29 @@ def _render_report(report: dict[str, Any], fmt: str) -> str:
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
-def _write_all(outputs: list[tuple[Path, str]]) -> None:
+def _write_all(outputs: list[tuple[Path, Iterable[str]]]) -> None:
     """Write every output or none.
 
-    Each text goes to a temporary file beside its target, and the files move
-    into place only after every write succeeded. On failure the temporary
-    files, and the outputs this call already moved into place, are removed.
+    Each output is an iterable of text chunks, written as they arrive to a
+    temporary file beside its target; the files move into place only after
+    every write succeeded. Any failure, also one while a chunk is rendered,
+    removes the temporary files and the outputs this call already moved.
     """
     staged: list[tuple[Path, Path]] = []
     moved: list[Path] = []
     try:
-        for path, text in outputs:
+        for path, chunks in outputs:
             if path.exists() and not path.is_file():
                 # A device or a pipe is written in place, since a rename would
                 # replace it; a directory raises here.
-                path.write_text(text, encoding="utf-8")
+                with open(path, "w", encoding="utf-8") as f:
+                    f.writelines(chunks)
                 continue
             target = Path(os.path.realpath(path))  # write through a symlink, not over it
             tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
             with open(tmp, "x", encoding="utf-8") as f:
                 staged.append((tmp, target))
-                f.write(text)
+                f.writelines(chunks)
         for tmp, target in staged:
             os.replace(tmp, target)
             moved.append(target)
@@ -202,7 +204,7 @@ def run(cfg: RunConfig) -> int:
         "chain_name": chain.name,
         "config": _config_block(cfg),
     }
-    exports: list[tuple[Path, str]] = []
+    exports: list[tuple[Path, Iterable[str]]] = []
     exit_code = 0
 
     if cfg.command == "analyze":
@@ -240,8 +242,8 @@ def run(cfg: RunConfig) -> int:
         report["result"] = montecarlo.batch_summary(chain, batch, rule, cfg.coverage_sigmas)
         if cfg.output is not None:
             exports = [
-                (_sibling(cfg.output, ".samples.csv"), montecarlo.samples_csv(batch)),
-                (_sibling(cfg.output, ".hist.csv"), montecarlo.histogram_csv(batch.fc_samples, cfg.bins)),
+                (_sibling(cfg.output, ".samples.csv"), montecarlo._samples_csv_blocks(batch)),
+                (_sibling(cfg.output, ".hist.csv"), [montecarlo.histogram_csv(batch.fc_samples, cfg.bins)]),
             ]
 
     elif cfg.command == "synthesize":
@@ -269,7 +271,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.output is None:
         sys.stdout.write(text)
     else:
-        _write_all([*exports, (cfg.output, text)])
+        _write_all([*exports, (cfg.output, [text])])
     return exit_code
 
 

@@ -379,20 +379,33 @@ def analytic_scrap(chain: ToleranceChain, rule: SigmaRule) -> float:
 # --- exports -----------------------------------------------------------------
 
 
-def samples_csv(batch: SampleBatch) -> str:
-    """The batch as CSV: ``index,<dimension names...>,<fc name>``, 9 significant digits."""
+def samples_csv(batch: SampleBatch, start: int = 0, stop: int | None = None) -> str:
+    """Rows [start, stop) of the batch as CSV, 9 significant digits; ``start`` a multiple of 4.
+
+    The header ``index,<dimension names...>,<fc name>`` leads only at ``start``
+    0, so consecutive ranges join into the whole export, which is the default.
+    """
+    if start < 0 or start % 4:
+        raise ValueError(f"start must be a non-negative multiple of 4, got {start}")
+    stop = batch.n if stop is None else min(stop, batch.n)
     header = io.StringIO()
-    csv.writer(header, lineterminator="\n").writerow(["index", *batch.per_dimension.keys(), batch.fc_name])
+    if start == 0:
+        csv.writer(header, lineterminator="\n").writerow(["index", *batch.per_dimension.keys(), batch.fc_name])
     parts = [header.getvalue()]
     row = "%d" + ",%.9g" * (len(batch.per_dimension) + 1) + "\n"
     # The index rides in the float block; %d prints it exactly below 2**53.
-    for start in range(0, batch.n, _EXPORT_ROWS):
-        stop = min(start + _EXPORT_ROWS, batch.n)
-        block = np.column_stack(
-            [np.arange(start, stop), *batch.per_dimension.rows(start, stop - start), batch.fc_samples[start:stop]]
-        )
-        parts.append(row * (stop - start) % tuple(block.ravel().tolist()))
+    for lo in range(start, stop, _EXPORT_ROWS):
+        hi = min(lo + _EXPORT_ROWS, stop)
+        block = np.column_stack([np.arange(lo, hi), *batch.per_dimension.rows(lo, hi - lo), batch.fc_samples[lo:hi]])
+        parts.append(row * (hi - lo) % tuple(block.ravel().tolist()))
     return "".join(parts)
+
+
+def _samples_csv_blocks(batch: SampleBatch) -> Iterator[str]:
+    """The samples export in blocks of ``_EXPORT_ROWS`` rows, for a caller that writes each as it comes."""
+    # samples_csv is looked up at each call, so a wrapper put on it sees every block.
+    for start in range(0, batch.n, _EXPORT_ROWS):
+        yield samples_csv(batch, start, start + _EXPORT_ROWS)
 
 
 def histogram_csv(samples: Sequence[float] | np.ndarray, bins: int = 50) -> str:

@@ -1,6 +1,7 @@
-"""Shared fixtures: the four-dimension actuator clamping chain used throughout."""
+"""Shared fixtures: the four-dimension actuator clamping chain used throughout, and a memory probe."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,16 @@ def make_actuator_chain(bounds=(10.0, 11.16)) -> ToleranceChain:
         ),
         condition=condition,
     )
+
+
+def traced_peak(run):
+    """Peak bytes that tracemalloc sees while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

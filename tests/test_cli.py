@@ -7,12 +7,13 @@ import io
 import json
 import os
 import stat
+import threading
 from pathlib import Path
 
 import pytest
 
-from conftest import ACTUATOR_DOC
-from tolchain import parse_chain
+from conftest import ACTUATOR_DOC, traced_peak
+from tolchain import montecarlo, parse_chain
 from tolchain.cli import main
 
 
@@ -312,6 +313,36 @@ class TestSimulate:
         assert targets == ["r.samples.csv", "r.hist.csv", "r.json"]
         assert set(tmp_path.iterdir()) == before
 
+    def test_failed_block_leaves_no_output(self, chain_file, tmp_path, capsys, monkeypatch):
+        real = montecarlo.samples_csv
+        starts = []
+
+        def second_block_fails(batch, start=0, stop=None):
+            starts.append(start)
+            if len(starts) == 2:
+                raise OSError(28, "No space left on device")
+            return real(batch, start, stop)
+
+        monkeypatch.setattr(montecarlo, "samples_csv", second_block_fails)
+        before = set(tmp_path.iterdir())
+        code, _, err = run_cli(
+            ["simulate", "--chain", str(chain_file), "--samples", "10000", "--output", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == 2
+        assert "No space left on device" in err
+        assert starts == [0, 4096]
+        assert set(tmp_path.iterdir()) == before
+
+    def test_export_is_written_block_by_block(self, chain_file, tmp_path):
+        # The sampler holds fc and one buffer, and batch_summary a copy of fc:
+        # about 2.5 arrays of n doubles. The export adds one 4096-row block at
+        # a time; holding its whole text would take about 16 arrays of n.
+        n = 200_000
+        argv = ["simulate", "--chain", str(chain_file), "--samples", str(n), "--output", str(tmp_path / "r.json")]
+        assert main(argv) == 0  # imports and caches
+        assert traced_peak(lambda: main(argv)) <= 4 * 8 * n
+
     def test_unknown_sigma_rule_rejected_by_parser(self, chain_file):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--chain", str(chain_file), "--sigma-rule", "it9"])
@@ -363,6 +394,25 @@ class TestOutputTargets:
         assert code == 0
         assert json.loads(data)["command"] == "analyze"
         assert stat.S_ISFIFO(pipe.stat().st_mode)
+
+    def test_samples_pipe_receives_the_file_bytes(self, chain_file, tmp_path, capsys):
+        argv = ["simulate", "--chain", str(chain_file), "--samples", "10000", "--seed", "4"]
+        regular, piped = tmp_path / "regular", tmp_path / "piped"
+        regular.mkdir()
+        piped.mkdir()
+        assert run_cli([*argv, "--output", str(regular / "r.json")], capsys)[0] == 0
+        pipe = piped / "r.samples.csv"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        code, _, _ = run_cli([*argv, "--output", str(piped / "r.json")], capsys)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert code == 0
+        assert received == [(regular / "r.samples.csv").read_bytes()]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert (piped / "r.hist.csv").read_bytes() == (regular / "r.hist.csv").read_bytes()
 
     def test_symlink_is_written_through(self, chain_file, tmp_path, capsys):
         real = tmp_path / "real.json"

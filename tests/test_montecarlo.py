@@ -3,12 +3,12 @@
 import math
 import os
 import sys
-import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from oracles import recompute_fc, reference_samples_csv
 from tolchain import montecarlo
 from tolchain import (
@@ -54,16 +54,6 @@ def zero_sigma_chain():
 def wide_chain():
     dims = tuple(DimensionSpec(f"d{i}", 10.0 + i, 0.1, -0.1, (-1.0) ** i) for i in range(16))
     return ToleranceChain("wide", dims, FunctionalCondition("J", -1.0, 1.0))
-
-
-def traced_peak(run):
-    """Peak bytes that tracemalloc sees while ``run()`` executes."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestSigmaRule:
@@ -449,6 +439,23 @@ class TestExports:
         # Compared as lines, so that a mismatch reports its first row quickly.
         expected = reference_samples_csv(batch).splitlines(keepends=True)
         assert samples_csv(batch).splitlines(keepends=True) == expected
+
+    @pytest.mark.parametrize("n", [1, 3, 4096, 4097, 65_541])
+    @pytest.mark.parametrize("block", [4, 4096, 8192])
+    def test_samples_csv_blocks_join_into_the_export(self, actuator_chain, n, block):
+        batch = sample_chain(actuator_chain, IT6, n, 5)
+        # Compared as lines, as in the reference test above.
+        whole = samples_csv(batch).splitlines(keepends=True)
+        assert whole == reference_samples_csv(batch).splitlines(keepends=True)
+        joined = "".join(samples_csv(batch, s, min(s + block, n)) for s in range(0, n, block))
+        assert joined.splitlines(keepends=True) == whole
+        assert "".join(montecarlo._samples_csv_blocks(batch)).splitlines(keepends=True) == whole
+
+    @pytest.mark.parametrize("start", [2, 4097, -4])
+    def test_samples_csv_rejects_a_misaligned_start(self, actuator_chain, start):
+        batch = sample_chain(actuator_chain, IT6, 8192, 5)
+        with pytest.raises(ValueError, match=rf"^start must be .*, got {start}$"):
+            samples_csv(batch, start)
 
     def test_samples_csv_ends_with_newline(self, actuator_chain):
         batch = sample_chain(actuator_chain, IT6, 2, 1)
