@@ -15,9 +15,10 @@ import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Any, ClassVar, Iterator, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.random import Philox
@@ -230,37 +231,23 @@ def sample_chain(
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     check_seed(seed)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    worst_case(chain)  # an overflow is the chain's fault, as in analyze
+    with _chunk_jobs(n, workers) as (size, run):
+        worst_case(chain)  # an overflow is the chain's fault, as in analyze
+        streams = {d.name: (i, derive_distribution(d, rule)) for i, d in enumerate(chain.dimensions)}
+        fc = np.zeros(n, dtype=np.float64)
+        buf = np.empty(n, dtype=np.float64)
 
-    streams = {d.name: (i, derive_distribution(d, rule)) for i, d in enumerate(chain.dimensions)}
-    # Equal chunks, each a multiple of 4 and at most _CHUNK long, in a
-    # multiple of the thread count, so that every thread gets the same share.
-    threads = min(workers, os.cpu_count() or 1)
-    chunks = -(-n // _CHUNK)
-    chunks += -chunks % threads
-    size = (-(-n // chunks) + 3) // 4 * 4
-    fc = np.zeros(n, dtype=np.float64)
-    buf = np.empty(n, dtype=np.float64)
+        def draw(dimension: DimensionSpec, start: int) -> None:
+            index, params = streams[dimension.name]
+            draws = _normal_chunk(seed, index, params, start, buf[start : start + size])
+            # fc += coefficient * samples, one slice per job: elementwise, so the chunking changes no bit.
+            fc[start : start + size] += dimension.coefficient * draws
 
-    def draw(dimension: DimensionSpec, start: int) -> None:
-        index, params = streams[dimension.name]
-        draws = _normal_chunk(seed, index, params, start, buf[start : start + size])
-        # fc += coefficient * samples, one slice per job: the operations are
-        # elementwise, so the chunking changes no bit.
-        fc[start : start + size] += dimension.coefficient * draws
-
-    pool = ThreadPoolExecutor(max_workers=threads) if workers > 1 else None
-    try:
         moments: dict[str, tuple[float, float]] = {}
         for d in chain.dimensions:
-            list((map if pool is None else pool.map)(partial(draw, d), range(0, n, size)))
+            list(run(partial(draw, d), range(0, n, size)))
             moments[d.name] = _moments_in_place(buf)
-        fc.setflags(write=False)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    fc.setflags(write=False)
 
     fc_name = chain.condition.name if chain.condition is not None else "fc"
     return SampleBatch(
@@ -274,23 +261,61 @@ def sample_chain(
     )
 
 
+@contextmanager
+def _chunk_jobs(n: int, workers: int) -> Iterator[tuple[int, Callable]]:
+    """``(size, map)`` for jobs over ``n`` rows: equal chunks of at most _CHUNK rows, each a multiple of 4, in a
+    multiple of the thread count, run on a pool capped at the core count, or in the caller at 1 worker."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    threads = min(workers, os.cpu_count() or 1)
+    chunks = -(-n // _CHUNK)
+    chunks += -chunks % threads
+    pool = ThreadPoolExecutor(max_workers=threads) if workers > 1 else None
+    try:
+        yield (-(-n // chunks) + 3) // 4 * 4, (map if pool is None else pool.map)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
+def _fc_samples(chain: ToleranceChain, rule: SigmaRule, n: int, seed: int, size: int, run: Callable) -> np.ndarray:
+    """``sample_chain(chain, rule, n, seed).fc_samples`` bit for bit, by one job per chunk over every dimension."""
+    check_seed(seed)
+    worst_case(chain)
+    terms = [(i, d.coefficient, derive_distribution(d, rule)) for i, d in enumerate(chain.dimensions)]
+    fc = np.zeros(n, dtype=np.float64)
+
+    def draw(start: int) -> None:
+        # sample_chain's steps on each element in its order, but with no n-sized buffer and no moments.
+        out, scratch = fc[start : start + size], np.empty(min(size, n - start))
+        for index, coefficient, params in terms:
+            out += np.multiply(_normal_chunk(seed, index, params, start, scratch), coefficient, out=scratch)
+
+    list(run(draw, range(0, n, size)))
+    return fc
+
+
 def statistical_interval(samples: Sequence[float] | np.ndarray, coverage_sigmas: float = 3.0) -> IntervalResult:
     """Mean +/- ``coverage_sigmas`` sample standard deviations.
 
     The standard deviation uses the n-1 denominator; a single sample has
     stdev 0. The default coverage of 3 reads as the conventional 99.73%
-    two-sided normal coverage. ``coverage_sigmas`` must be finite and > 0,
-    and small enough that the interval's bounds and width stay finite.
+    two-sided normal coverage. The samples' mean and stdev must be finite;
+    ``coverage_sigmas`` must be finite, > 0, and keep the interval finite.
     """
     return _interval(*_sample_moments(samples), coverage_sigmas)
 
 
 def _sample_moments(samples: Sequence[float] | np.ndarray) -> tuple[float, float]:
-    """Sample mean and n-1 standard deviation (0 for a single sample)."""
+    """Sample mean and n-1 standard deviation (0 for a single sample), both finite."""
     arr = np.array(samples, dtype=np.float64)  # a copy, which the moments overwrite
     if arr.size == 0:
         raise ValueError("statistical_interval requires a non-empty sample set")
-    return _moments_in_place(arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = _moments_in_place(arr)
+    if not all(map(math.isfinite, moments)):
+        raise ValueError("the samples hold a NaN or an inf, or their spread overflows: mean %r, stdev %r" % moments)
+    return moments
 
 
 def _moments_in_place(x: np.ndarray) -> tuple[float, float]:
@@ -332,15 +357,17 @@ class ScrapReport:
 def scrap_rate(samples: Sequence[float] | np.ndarray, condition: FunctionalCondition) -> ScrapReport:
     """Fraction of samples strictly outside the condition's bounds.
 
-    A missing bound contributes nothing. The confidence half-width is the
-    normal approximation 1.96 * sqrt(p(1-p)/n), adequate for n in the
-    thousands and beyond.
+    A missing bound contributes nothing; +/-inf counts as below or above, and
+    NaN is an error. The confidence half-width is the normal approximation
+    1.96 * sqrt(p(1-p)/n), adequate for n in the thousands and beyond.
     """
     if condition is None or not condition.is_bounded:
         raise ValueError("scrap_rate requires a condition with at least one bound")
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("scrap_rate requires a non-empty sample set")
+    if math.isnan(arr.min()):  # min propagates NaN
+        raise ValueError(f"{np.count_nonzero(np.isnan(arr))} of {arr.size} samples are NaN, neither inside nor outside")
     below = int(np.count_nonzero(arr < condition.imposed_min)) if condition.imposed_min is not None else 0
     above = int(np.count_nonzero(arr > condition.imposed_max)) if condition.imposed_max is not None else 0
     n = int(arr.size)

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Any
 
 from .model import MAX_SEED, DimensionSpec, ToleranceChain, chain_document, check_seed, respecify
-from .montecarlo import ScrapReport, SigmaRule, analytic_scrap, sample_chain, scrap_rate
+from .montecarlo import ScrapReport, SigmaRule, _chunk_jobs, _fc_samples, analytic_scrap, scrap_rate
 
 __all__ = [
     "IterationRecord",
@@ -134,8 +134,9 @@ def synthesize(
 ) -> SynthesisReport:
     """Adjust tolerances until the scrap rate meets the target band.
 
-    Each iteration samples ``cfg.n_per_iteration`` realizations at seed
-    ``cfg.seed + iteration`` and compares the scrap estimate to the target:
+    At most one thread pool serves the whole run. Each iteration draws only the
+    ``cfg.n_per_iteration`` condition samples, equal to ``sample_chain``'s at
+    seed ``cfg.seed + iteration``, and compares the scrap estimate to the target:
     inside the band stops the loop (action ``accept``); above it shrinks the
     widest non-frozen tolerance; below it widens the narrowest non-frozen,
     nonzero one. Ties fall to chain order. When no adjustable tolerance can
@@ -154,22 +155,19 @@ def synthesize(
 
     current = chain
     records: list[IterationRecord] = []
-    for k in range(cfg.max_iterations):
-        batch = sample_chain(
-            current, rule, cfg.n_per_iteration, (cfg.seed + k) % MAX_SEED, workers=workers
-        )
-        report = scrap_rate(batch.fc_samples, condition)
-        effective = report.scrap_rate
-        source = "estimate"
-        if report.scrap_rate == 0.0 and cfg.target_scrap <= 3.0 / cfg.n_per_iteration:
-            effective = analytic_scrap(current, rule)
-            source = "analytic"
+    with _chunk_jobs(cfg.n_per_iteration, workers) as (size, run):
+        for k in range(cfg.max_iterations):
+            fc = _fc_samples(current, rule, cfg.n_per_iteration, (cfg.seed + k) % MAX_SEED, size, run)
+            report = scrap_rate(fc, condition)
+            effective, source = report.scrap_rate, "estimate"
+            if report.scrap_rate == 0.0 and cfg.target_scrap <= 3.0 / cfg.n_per_iteration:
+                effective, source = analytic_scrap(current, rule), "analytic"
 
-        record = IterationRecord(k, current, report, effective, source, *_decide(current, effective, cfg))
-        records.append(record)
-        if record.action in (SynthesisAction.ACCEPT, SynthesisAction.STALL):
-            break
-        current = respecify(current, record.dimension, record.new_upper_dev, record.new_lower_dev)
+            record = IterationRecord(k, current, report, effective, source, *_decide(current, effective, cfg))
+            records.append(record)
+            if record.action in (SynthesisAction.ACCEPT, SynthesisAction.STALL):
+                break
+            current = respecify(current, record.dimension, record.new_upper_dev, record.new_lower_dev)
 
     return SynthesisReport(iterations=tuple(records), final_chain=current)
 

@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -217,16 +218,20 @@ class TestSampleChain:
         assert np.array_equal(recompute_fc(actuator_chain, batches[0]), batches[0].fc_samples)
 
     def test_threads_lose_no_update_to_the_condition_sum(self, actuator_chain):
-        # Every chunk job adds its own slice of fc; a short switch interval
-        # interleaves the threads as often as the interpreter allows.
+        # Every chunk job adds its own slice of fc, in sample_chain and in the
+        # condition-only draws; a short switch interval interleaves the threads
+        # as often as the interpreter allows.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             batch = sample_chain(actuator_chain, IT6, 300_001, 5, workers=8)
+            with montecarlo._chunk_jobs(300_001, 8) as (size, run):
+                fc = montecarlo._fc_samples(actuator_chain, IT6, 300_001, 5, size, run)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(recompute_fc(actuator_chain, batch), batch.fc_samples)
         assert np.array_equal(sample_chain(actuator_chain, IT6, 300_001, 5).fc_samples, batch.fc_samples)
+        assert fc.tobytes() == batch.fc_samples.tobytes()
 
     @pytest.mark.parametrize("cores, threads", [(None, 1), (2, 2), (4, 4)])
     def test_pool_is_capped_at_the_core_count(self, actuator_chain, monkeypatch, cores, threads):
@@ -296,6 +301,24 @@ class TestSampleChain:
         peak = traced_peak(lambda: sample_chain(chain, IT6, n, 3, workers=2))
         assert peak <= 2.5 * 8 * n
 
+    @pytest.mark.parametrize("n", [1, 4097, 65_541, 100_003])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_condition_only_draws_equal_sample_chain(self, actuator_chain, n, workers):
+        with montecarlo._chunk_jobs(n, workers) as (size, run):
+            fc = montecarlo._fc_samples(actuator_chain, IT6, n, 7, size, run)
+        assert fc.tobytes() == sample_chain(actuator_chain, IT6, n, 7, workers=workers).fc_samples.tobytes()
+
+    @pytest.mark.parametrize(
+        "chain",
+        [wide_chain(), ToleranceChain("zero", tuple(DimensionSpec(f"z{i}", 0.0, 0.0, 0.0, -1.0) for i in range(2)))],
+        ids=["wide", "signed-zero"],
+    )
+    def test_condition_only_draws_keep_every_bit(self, chain):
+        # -1.0 * 0.0 is -0.0: the sum must start from +0.0 as sample_chain's does.
+        with montecarlo._chunk_jobs(70_001, 2) as (size, run):
+            fc = montecarlo._fc_samples(chain, IT6, 70_001, 5, size, run)
+        assert fc.tobytes() == sample_chain(chain, IT6, 70_001, 5, workers=2).fc_samples.tobytes()
+
 
 class TestStatisticalInterval:
     def test_constant_samples(self):
@@ -337,6 +360,15 @@ class TestStatisticalInterval:
         with pytest.raises(ValueError, match="coverage_sigmas 1e"):
             statistical_interval(samples, 1e308)
 
+    @pytest.mark.parametrize(
+        "samples", [[1.0, math.nan], [math.inf, 1.0], [1e308, -1e308, 1e308]], ids=["nan", "inf", "spread-overflows"]
+    )
+    def test_non_finite_moments_blame_the_samples(self, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy RuntimeWarning on the way
+            with pytest.raises(ValueError, match="the samples hold a NaN or an inf, or their spread overflows"):
+                statistical_interval(samples, 3.0)
+
 
 class TestScrapRate:
     def test_all_inside(self):
@@ -372,6 +404,17 @@ class TestScrapRate:
             scrap_rate([1.0], FunctionalCondition("J"))
         with pytest.raises(ValueError, match="non-empty"):
             scrap_rate([], FunctionalCondition("J", 0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "condition", [FunctionalCondition("J", 0.0, 1.0), FunctionalCondition("J", imposed_max=1.0)], ids=["both", "max"]
+    )
+    def test_nan_samples_are_named_not_counted_as_conforming(self, condition):
+        with pytest.raises(ValueError, match="3 of 4 samples are NaN"):
+            scrap_rate([math.nan, math.nan, math.nan, 0.5], condition)
+
+    def test_infinities_count_below_and_above(self):
+        report = scrap_rate([-math.inf, math.inf, math.inf, 0.5], FunctionalCondition("J", 0.0, 1.0))
+        assert (report.below, report.above) == (1, 2)
 
 
 class TestAnalyticScrap:

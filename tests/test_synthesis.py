@@ -2,11 +2,14 @@
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from scipy.special import ndtri
 
 from conftest import make_actuator_chain
+from tolchain import montecarlo, synthesis
+from tolchain.model import MAX_SEED
 from tolchain import (
     ChainValidationError,
     DimensionSpec,
@@ -260,6 +263,74 @@ class TestSynthesizePolicy:
         )
         with pytest.raises(ValueError, match="non-frozen"):
             synthesize(actuator_chain, IT6, cfg)
+
+
+class TestSynthesizeSampling:
+    """Each run draws the condition samples of sample_chain on at most one pool."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers=max_workers)
+                self.shut = False
+                made.append(self)
+
+            def shutdown(self, *args, **kwargs):
+                self.shut = True
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        return made
+
+    @pytest.mark.parametrize("n", [1, 4097, 65_541, 100_003])
+    def test_equal_reports_for_one_two_and_three_workers(self, actuator_chain, n):
+        cfg = SynthesisConfig(target_scrap=0.001, n_per_iteration=n, seed=3, max_iterations=4)
+        reports = [synthesize(actuator_chain, IT6, cfg, workers=workers) for workers in (1, 2, 3)]
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+
+    @pytest.mark.parametrize("seed", [11, MAX_SEED - 2])
+    def test_each_record_scrap_is_sample_chains_at_two_workers(self, actuator_chain, seed):
+        cfg = SynthesisConfig(target_scrap=0.001, n_per_iteration=65_541, seed=seed, max_iterations=5)
+        report = synthesize(actuator_chain, IT6, cfg, workers=2)
+        assert len(report.iterations) == 5
+        for record in report.iterations:
+            batch = sample_chain(record.chain, IT6, cfg.n_per_iteration, (seed + record.index) % MAX_SEED)
+            assert record.scrap == scrap_rate(batch.fc_samples, actuator_chain.condition)
+
+    def test_one_pool_per_run_and_none_at_one_worker(self, actuator_chain, pools):
+        cfg = SynthesisConfig(target_scrap=0.001, n_per_iteration=20_000, seed=2, max_iterations=5)
+        assert len(synthesize(actuator_chain, IT6, cfg, workers=2).iterations) == 5
+        assert len(pools) == 1
+        assert pools[0].shut
+        synthesize(actuator_chain, IT6, cfg, workers=1)
+        assert len(pools) == 1
+
+    def test_pool_is_shut_down_when_an_iteration_raises(self, actuator_chain, pools, monkeypatch):
+        calls = []
+
+        def second_call_fails(samples, condition):
+            calls.append(condition)
+            if len(calls) == 2:
+                raise RuntimeError("second iteration fails")
+            return scrap_rate(samples, condition)
+
+        monkeypatch.setattr(synthesis, "scrap_rate", second_call_fails)
+        cfg = SynthesisConfig(target_scrap=0.001, n_per_iteration=20_000, seed=2, max_iterations=5)
+        with pytest.raises(RuntimeError, match="second iteration fails"):
+            synthesize(actuator_chain, IT6, cfg, workers=2)
+        assert len(pools) == 1
+        assert pools[0].shut
+
+    def test_zero_workers_is_rejected_before_anything_is_drawn(self, actuator_chain, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_normal_chunk", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            synthesize(actuator_chain, IT6, SynthesisConfig(target_scrap=0.001), workers=0)
+        assert drawn == []
 
 
 class TestSynthesisConfig:
