@@ -130,6 +130,79 @@ def test_conformity_status_values_are_stable():
     assert ConformityStatus.UNCHECKED.value == "Unchecked"
 
 
+DROP = object()  # with_value deletes the key instead of setting it
+
+
+def with_value(doc, path, value):
+    """A deep copy of ``doc`` with ``value`` at ``path`` (a tuple of keys and indices), or that key dropped."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+_NUMBER_KEYS = ("nominal", "upper_dev", "lower_dev", "coefficient")
+_JSON_TYPE_NAMES = ((None, "NoneType"), (True, "bool"), ("1.0", "str"), ([], "list"), ({}, "dict"))
+
+# Every ChainSyntaxError of the document shape, with its full message: for the
+# document, a dimension and the condition, an object of the wrong type, an
+# unknown key, a missing key, each key wrongly typed and a bool as a number.
+SHAPE_FAULTS = [
+    ((), [1, 2], "document must be a JSON object, got list"),
+    ((), None, "document must be a JSON object, got NoneType"),
+    ((), "chain", "document must be a JSON object, got str"),
+    (("extra",), 1, "document: unknown key(s) ['extra']"),
+    (("name",), DROP, "document: missing key(s) ['name']"),
+    (("dimensions",), DROP, "document: missing key(s) ['dimensions']"),
+    (("name",), 42, "document: 'name' must be a string, got int"),
+    (("name",), True, "document: 'name' must be a string, got bool"),
+    (("name",), ["a"], "document: 'name' must be a string, got list"),
+    (("dimensions",), {}, "document: 'dimensions' must be an array, got dict"),
+    (("dimensions",), True, "document: 'dimensions' must be an array, got bool"),
+    (("dimensions",), "a1", "document: 'dimensions' must be an array, got str"),
+    (("dimensions",), None, "document: 'dimensions' must be an array, got NoneType"),
+    (("condition",), None, "condition must be a JSON object, got NoneType"),
+    (("condition",), [], "condition must be a JSON object, got list"),
+    (("condition",), True, "condition must be a JSON object, got bool"),
+    (("condition",), 10.0, "condition must be a JSON object, got float"),
+    (("dimensions", 1), 7, "dimensions[1] must be a JSON object, got int"),
+    (("dimensions", 0), [], "dimensions[0] must be a JSON object, got list"),
+    (("dimensions", 3), None, "dimensions[3] must be a JSON object, got NoneType"),
+    (("dimensions", 1, "surprise"), 0, "dimensions[1]: unknown key(s) ['surprise']"),
+    (("dimensions", 0), {"name": "a1", "zz": 1, "aa": 2}, "dimensions[0]: unknown key(s) ['aa', 'zz']"),
+    (("dimensions", 0), {"name": "a1"},
+     "dimensions[0]: missing key(s) ['coefficient', 'lower_dev', 'nominal', 'upper_dev']"),
+    *[(("dimensions", 2, key), DROP, f"dimensions[2]: missing key(s) ['{key}']") for key in ("name", *_NUMBER_KEYS)],
+    (("dimensions", 0, "name"), 7, "dimensions[0]: 'name' must be a string, got int"),
+    (("dimensions", 0, "name"), True, "dimensions[0]: 'name' must be a string, got bool"),
+    (("dimensions", 0, "name"), None, "dimensions[0]: 'name' must be a string, got NoneType"),
+    *[
+        (("dimensions", 1, key), value, f"dimensions[1]: '{key}' must be a number, got {type_name}")
+        for key in _NUMBER_KEYS
+        for value, type_name in _JSON_TYPE_NAMES
+    ],
+    (("dimensions", 0, "coefficient"), False, "dimensions[0]: 'coefficient' must be a number, got bool"),
+    (("condition", "limit"), 1, "condition: unknown key(s) ['limit']"),
+    (("condition",), {"name": "Ja", "min": 1.0, "lo": 1, "hi": 2}, "condition: unknown key(s) ['hi', 'lo']"),
+    (("condition", "name"), DROP, "condition: missing key(s) ['name']"),
+    (("condition", "name"), 5, "condition: 'name' must be a string, got int"),
+    (("condition", "name"), False, "condition: 'name' must be a string, got bool"),
+    *[
+        (("condition", key), value, f"condition: '{key}' must be a number, got {type_name}")
+        for key in ("min", "max")
+        for value, type_name in _JSON_TYPE_NAMES
+    ],
+]
+
+
 class TestParseChain:
     def test_actuator_document(self, actuator_text):
         chain = parse_chain(actuator_text)
@@ -229,6 +302,12 @@ class TestParseChain:
         doc["condition"] = None
         with pytest.raises(ChainSyntaxError, match="condition must be a JSON object"):
             parse_chain(json.dumps(doc))
+
+    @pytest.mark.parametrize("path, value, message", SHAPE_FAULTS, ids=[m for _, _, m in SHAPE_FAULTS])
+    def test_shape_error_messages_in_full(self, path, value, message):
+        with pytest.raises(ChainSyntaxError) as excinfo:
+            parse_chain(json.dumps(with_value(ACTUATOR_DOC, path, value)))
+        assert str(excinfo.value) == message
 
     def test_non_finite_numbers_rejected(self):
         text = (
