@@ -46,7 +46,10 @@ class ChainValidationError(ValueError):
 def _as_finite_float(value: Any, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ChainValidationError(f"{what} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond a double's range, too long to print past 4300 digits
+        raise ChainValidationError(f"{what} must be finite, got an integer of {value.bit_length()} bits") from None
     if not math.isfinite(value):
         raise ChainValidationError(f"{what} must be finite, got {value!r}")
     return value
@@ -248,9 +251,16 @@ class ConformityVerdict:
 
 # --- chain-definition documents ---------------------------------------------
 
-_TOP_KEYS = ({"name", "dimensions"}, {"condition"})
-_DIM_KEYS = ({"name", "nominal", "upper_dev", "lower_dev", "coefficient"}, set())
-_COND_KEYS = ({"name"}, {"min", "max"})
+# The keys of each document object and the JSON type of each value; a key
+# ending in "?" is optional. The condition is checked as its own object after
+# the dimensions are built, so the document declares it as any value.
+_DOCUMENT = {"name": str, "dimensions": list, "condition?": object}
+_DIMENSION = {"name": str, "nominal": float, "upper_dev": float, "lower_dev": float, "coefficient": float}
+_CONDITION = {"name": str, "min?": float, "max?": float}
+
+# The decoded Python types of each declared JSON type, matched exactly so that
+# a bool is not a number, and the name an error gives the type.
+_JSON_TYPES = {str: ({str}, "a string"), list: ({list}, "an array"), float: ({int, float}, "a number")}
 
 
 def _reject_duplicates(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -266,31 +276,23 @@ def _reject_constant(text: str) -> float:
     raise ChainSyntaxError(f"non-finite number {text!r} is not permitted")
 
 
-def _check_keys(obj: Any, where: str, keys: tuple[set[str], set[str]]) -> Mapping[str, Any]:
-    required, optional = keys
+def _checked(obj: Any, where: str, table: Mapping[str, type]) -> dict[str, Any]:
+    """``obj`` once it is a JSON object with the table's keys and value types, else a ChainSyntaxError."""
     if not isinstance(obj, dict):
         raise ChainSyntaxError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - required - optional)
+    types = {key.rstrip("?"): kind for key, kind in table.items()}
+    unknown = sorted(obj.keys() - types.keys())
     if unknown:
         raise ChainSyntaxError(f"{where}: unknown key(s) {unknown}")
-    missing = sorted(required - set(obj))
+    missing = sorted(key for key in table if not key.endswith("?") and key not in obj)
     if missing:
         raise ChainSyntaxError(f"{where}: missing key(s) {missing}")
+    for key, kind in types.items():
+        if key in obj and kind is not object:
+            decoded, type_name = _JSON_TYPES[kind]
+            if type(obj[key]) not in decoded:
+                raise ChainSyntaxError(f"{where}: {key!r} must be {type_name}, got {type(obj[key]).__name__}")
     return obj
-
-
-def _syntax_str(obj: Mapping[str, Any], key: str, where: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ChainSyntaxError(f"{where}: {key!r} must be a string, got {type(value).__name__}")
-    return value
-
-
-def _syntax_number(obj: Mapping[str, Any], key: str, where: str) -> float:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ChainSyntaxError(f"{where}: {key!r} must be a number, got {type(value).__name__}")
-    return float(value)
 
 
 def parse_chain(text: str) -> ToleranceChain:
@@ -309,7 +311,9 @@ def parse_chain(text: str) -> ToleranceChain:
         }
 
     ``condition`` is optional, as are its ``min``/``max`` bounds. Unknown or
-    duplicate keys are rejected, as are non-finite numbers.
+    duplicate keys are rejected, as are non-finite numbers and numbers beyond
+    a double's range. A document too deeply nested for the decoder, or with
+    an integer of more digits than Python converts, is invalid JSON.
 
     Raises:
         ChainSyntaxError: the document is not the expected JSON shape.
@@ -318,39 +322,20 @@ def parse_chain(text: str) -> ToleranceChain:
     """
     try:
         raw = json.loads(text, object_pairs_hook=_reject_duplicates, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ChainSyntaxError:
+        raise
+    except (ValueError, RecursionError) as exc:
         raise ChainSyntaxError(f"invalid JSON: {exc}") from exc
 
-    top = _check_keys(raw, "document", _TOP_KEYS)
-    chain_name = _syntax_str(top, "name", "document")
-    dims_raw = top["dimensions"]
-    if not isinstance(dims_raw, list):
-        raise ChainSyntaxError(f"document: 'dimensions' must be an array, got {type(dims_raw).__name__}")
-
-    dimensions = []
-    for i, entry in enumerate(dims_raw):
-        where = f"dimensions[{i}]"
-        obj = _check_keys(entry, where, _DIM_KEYS)
-        dimensions.append(
-            DimensionSpec(
-                name=_syntax_str(obj, "name", where),
-                nominal=_syntax_number(obj, "nominal", where),
-                upper_dev=_syntax_number(obj, "upper_dev", where),
-                lower_dev=_syntax_number(obj, "lower_dev", where),
-                coefficient=_syntax_number(obj, "coefficient", where),
-            )
-        )
-
+    top = _checked(raw, "document", _DOCUMENT)
+    dimensions = [
+        DimensionSpec(**_checked(obj, f"dimensions[{i}]", _DIMENSION)) for i, obj in enumerate(top["dimensions"])
+    ]
     condition = None
     if "condition" in top:
-        obj = _check_keys(top["condition"], "condition", _COND_KEYS)
-        condition = FunctionalCondition(
-            name=_syntax_str(obj, "name", "condition"),
-            imposed_min=_syntax_number(obj, "min", "condition") if "min" in obj else None,
-            imposed_max=_syntax_number(obj, "max", "condition") if "max" in obj else None,
-        )
-
-    return ToleranceChain(name=chain_name, dimensions=tuple(dimensions), condition=condition)
+        obj = _checked(top["condition"], "condition", _CONDITION)
+        condition = FunctionalCondition(obj["name"], obj.get("min"), obj.get("max"))
+    return ToleranceChain(top["name"], dimensions, condition)
 
 
 def chain_document(chain: ToleranceChain) -> dict[str, Any]:

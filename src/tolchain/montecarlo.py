@@ -442,6 +442,9 @@ def histogram_csv(samples: Sequence[float] | np.ndarray, bins: int = 50) -> str:
         raise ValueError("histogram requires a non-empty sample set")
     if bins < 1:
         raise ValueError(f"bin count must be >= 1, got {bins}")
+    low, high = float(arr.min()), float(arr.max())  # min and max propagate NaN
+    if not math.isfinite(high - low):
+        raise ValueError(f"the samples hold a NaN or an inf, or their range overflows: min {low!r}, max {high!r}")
     counts, edges = np.histogram(arr, bins=bins)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

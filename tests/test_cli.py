@@ -484,6 +484,25 @@ class TestErrorPaths:
         assert code == 2
         assert "invalid chain" in err
 
+    @pytest.mark.parametrize("old", ['"nominal": 25.3', '"min": 10.0', '"max": 11.16'], ids=["nominal", "min", "max"])
+    def test_integer_beyond_a_double_is_an_invalid_chain(self, tmp_path, capsys, old):
+        # not exit 1, which is verify's non-conforming verdict
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(ACTUATOR_DOC).replace(old, old.split(":")[0] + ": 1" + "0" * 400), encoding="utf-8")
+        code, out, err = run_cli(["verify", "--chain", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("tolchain: invalid chain: ") and "must be finite, got an integer of 1329 bits" in err
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, json.dumps(ACTUATOR_DOC).replace("25.3", "1" * 5000)], ids=["nesting", "digits"]
+    )
+    def test_decoder_failure_is_an_invalid_chain(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["verify", "--chain", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("tolchain: invalid chain: invalid JSON: ")
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main([])

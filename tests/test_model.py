@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tolchain import (
     ChainSyntaxError,
@@ -18,6 +20,7 @@ from tolchain import (
 )
 
 from conftest import ACTUATOR_DOC
+from strategies import chains
 
 
 class TestDimensionSpec:
@@ -47,6 +50,17 @@ class TestDimensionSpec:
     def test_non_finite_values_rejected(self, value):
         with pytest.raises(ChainValidationError, match="finite"):
             DimensionSpec("a", value, 0.1, -0.1, 1.0)
+
+    @pytest.mark.parametrize(
+        "value, bits", [(10**400, 1329), (-(2**1024), 1025), (10**5000, 16610)], ids=["1e400", "-2**1024", "1e5000"]
+    )
+    def test_integers_beyond_a_double_are_named_not_printed(self, value, bits):
+        # repr of an int past 4300 digits raises, so the message gives its size
+        message = f"dimension 'a': nominal must be finite, got an integer of {bits} bits"
+        with pytest.raises(ChainValidationError, match=f"^{message}$"):
+            DimensionSpec("a", value, 0.1, 0.0, 1.0)
+        with pytest.raises(ChainValidationError, match="^condition 'J': imposed_max must be finite, got an integer"):
+            FunctionalCondition("J", None, value)
 
     def test_blank_name_rejected(self):
         with pytest.raises(ChainValidationError):
@@ -323,16 +337,79 @@ class TestParseChain:
         with pytest.raises(ChainValidationError, match="finite"):
             parse_chain(text)
 
+    @pytest.mark.parametrize(
+        "old, field", [('"nominal": 25.3', "dimension 'a1': nominal"), ('"min": 10.0', "condition 'Ja': imposed_min"),
+                       ('"max": 11.16', "condition 'Ja': imposed_max")],
+        ids=["nominal", "min", "max"],
+    )
+    def test_integers_beyond_a_double_are_validation_errors(self, old, field):
+        text = json.dumps(ACTUATOR_DOC).replace(old, old.split(":")[0] + ": -1" + "0" * 400)
+        with pytest.raises(ChainValidationError, match=rf"^{field} must be finite, got an integer of 1329 bits$"):
+            parse_chain(text)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("[" * 100_000, "maximum recursion depth exceeded"),
+         (json.dumps(ACTUATOR_DOC).replace("25.3", "1" * 5000), "Exceeds the limit (4300 digits)")],
+        ids=["nesting", "digits"],
+    )
+    def test_decoder_failures_are_invalid_json(self, text, reason):
+        with pytest.raises(ChainSyntaxError) as excinfo:
+            parse_chain(text)
+        assert str(excinfo.value).startswith(f"invalid JSON: {reason}")
+
     def test_duplicate_keys_rejected(self):
         text = '{"name": "c", "name": "d", "dimensions": []}'
         with pytest.raises(ChainSyntaxError, match="duplicate key"):
             parse_chain(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"name": "c", "name": "d"}', "duplicate key 'name' in document"),
+         ('{"name": -Infinity}', "non-finite number '-Infinity' is not permitted")],
+        ids=["duplicate-key", "non-finite"],
+    )
+    def test_decoder_hooks_keep_their_messages(self, text, message):
+        with pytest.raises(ChainSyntaxError) as excinfo:
+            parse_chain(text)
+        assert str(excinfo.value) == message
 
     def test_duplicate_dimension_names_fail_validation(self):
         doc = json.loads(json.dumps(ACTUATOR_DOC))
         doc["dimensions"][1]["name"] = "a1"
         with pytest.raises(ChainValidationError, match="more than once"):
             parse_chain(json.dumps(doc))
+
+
+def document_paths(doc, path=()):
+    """Every key path of a document, the root included, and one unknown key under each object."""
+    yield path
+    if isinstance(doc, dict):
+        yield (*path, "extra")
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for step, child in children:
+        yield from document_paths(child, (*path, step))
+
+
+BEYOND_A_DOUBLE = st.integers(2**1024, 10**400) | st.integers(-(10**400), -(2**1024))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | BEYOND_A_DOUBLE | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains(max_dims=3, condition="sometimes"), st.data())
+def test_any_value_at_any_key_is_a_chain_or_a_chain_error(chain, data):
+    doc = json.loads(serialize_chain(chain))
+    path = data.draw(st.sampled_from(list(document_paths(doc))))
+    value = data.draw(JSON_VALUES if not path or path[-1] == "extra" else st.just(DROP) | JSON_VALUES)
+    try:
+        parse_chain(json.dumps(with_value(doc, path, value)))
+    except (ChainSyntaxError, ChainValidationError):
+        pass
 
 
 class TestSerializeChain:

@@ -526,6 +526,19 @@ class TestExports:
         with pytest.raises(ValueError, match="bin count"):
             histogram_csv([1.0], bins=0)
 
+    @pytest.mark.parametrize(
+        "samples, bounds",
+        [([1.0, math.nan], "min nan, max nan"), ([math.inf, 1.0], "min 1.0, max inf"),
+         ([1e308, -1e308], "min -1e+308, max 1e+308")],
+        ids=["nan", "inf", "range-overflows"],
+    )
+    def test_histogram_blames_non_finite_samples(self, samples, bounds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy RuntimeWarning on the way
+            with pytest.raises(ValueError) as excinfo:
+                histogram_csv(samples, 2)
+        assert str(excinfo.value) == f"the samples hold a NaN or an inf, or their range overflows: {bounds}"
+
     def test_batch_summary_contents(self, actuator_chain):
         batch = sample_chain(actuator_chain, IT6, 5000, 11)
         summary = batch_summary(actuator_chain, batch, IT6, 3.0)
