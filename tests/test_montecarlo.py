@@ -13,6 +13,7 @@ from conftest import traced_peak
 from oracles import recompute_fc, reference_samples_csv
 from tolchain import montecarlo
 from tolchain import (
+    ChainValidationError,
     DimensionSpec,
     DistributionParams,
     FunctionalCondition,
@@ -50,6 +51,12 @@ def zero_sigma_chain():
         DimensionSpec("b", 3.0, 0.0, 0.0, -1.0),
     )
     return ToleranceChain("const", dims)
+
+
+def overflowing_chain():
+    # a1's max limit, 1e308 + 1e308, is inf; a2 has no sigma in an explicit rule that names only a1.
+    dims = (DimensionSpec("a1", 1e308, 1e308, 0.0, 1.0), DimensionSpec("a2", 1.0, 0.1, -0.1, 1.0))
+    return ToleranceChain("overflowing", dims)
 
 
 def wide_chain():
@@ -208,6 +215,31 @@ class TestSampleChain:
             sample_chain(actuator_chain, IT6, 10, 2**64)
         with pytest.raises(ValueError, match="workers"):
             sample_chain(actuator_chain, IT6, 10, 1, workers=0)
+
+    @pytest.mark.parametrize(
+        "bad, blamed",
+        [
+            ({"n": 0, "seed": -1}, "sample count"),
+            ({"seed": -1, "workers": 0}, "seed"),
+            ({"seed": 2**64, "chain": "overflowing"}, "seed"),
+            ({"workers": 0, "chain": "overflowing"}, "workers"),
+            ({"chain": "overflowing", "rule": "explicit"}, "interval max must be finite"),
+            ({"n": 0, "rule": "explicit"}, "sample count"),
+        ],
+        ids=["count-before-seed", "seed-before-workers", "seed-before-overflow", "workers-before-overflow",
+             "overflow-before-sigma", "count-before-sigma"],
+    )
+    def test_the_first_bad_input_is_blamed(self, actuator_chain, bad, blamed):
+        # Checked in this order: sample count, seed, workers, overflow, a missing explicit sigma.
+        chain = overflowing_chain() if bad.get("chain") == "overflowing" else actuator_chain
+        rule = SigmaRule.explicit({"a1": 0.1}) if bad.get("rule") == "explicit" else IT6
+        with pytest.raises(ValueError, match=blamed):
+            sample_chain(chain, rule, bad.get("n", 10), bad.get("seed", 1), workers=bad.get("workers", 1))
+
+    def test_condition_only_draws_reject_an_overflowing_chain(self):
+        with montecarlo._chunk_jobs(10, 1) as (size, run):
+            with pytest.raises(ChainValidationError, match="interval max must be finite"):
+                montecarlo._fc_samples(overflowing_chain(), IT6, 10, 1, size, run)
 
     @pytest.mark.parametrize("n", [5, 65_537, 100_000])
     def test_bit_identical_for_one_two_and_three_workers(self, actuator_chain, n):
