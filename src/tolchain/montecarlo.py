@@ -186,15 +186,15 @@ def _normal_chunk(seed: int, index: int, params: DistributionParams, start: int,
 class _Columns(Mapping[str, np.ndarray]):
     """Each dimension's samples, re-drawn from its Philox stream on every access."""
 
-    def __init__(self, seed: int, n: int, streams: dict[str, tuple[int, DistributionParams]]) -> None:
+    def __init__(self, seed: int, n: int, streams: dict[str, tuple[int, float, DistributionParams]]) -> None:
         self._seed, self._n, self._streams = seed, n, streams
 
     def rows(self, start: int, count: int) -> list[np.ndarray]:
         """Rows [start, start+count) of every column. ``start`` must be a multiple of 4."""
-        return [_normal_chunk(self._seed, i, p, start, np.empty(count)) for i, p in self._streams.values()]
+        return [_normal_chunk(self._seed, i, p, start, np.empty(count)) for i, _, p in self._streams.values()]
 
     def __getitem__(self, name: str) -> np.ndarray:
-        index, params = self._streams[name]
+        index, _, params = self._streams[name]
         column = np.empty(self._n)
         for start in range(0, self._n, _CHUNK):
             _normal_chunk(self._seed, index, params, start, column[start : start + _CHUNK])
@@ -232,33 +232,18 @@ def sample_chain(
         raise ValueError(f"sample count must be >= 1, got {n}")
     check_seed(seed)
     with _chunk_jobs(n, workers) as (size, run):
-        worst_case(chain)  # an overflow is the chain's fault, as in analyze
-        streams = {d.name: (i, derive_distribution(d, rule)) for i, d in enumerate(chain.dimensions)}
+        streams = _streams(chain, rule)
         fc = np.zeros(n, dtype=np.float64)
         buf = np.empty(n, dtype=np.float64)
-
-        def draw(dimension: DimensionSpec, start: int) -> None:
-            index, params = streams[dimension.name]
-            draws = _normal_chunk(seed, index, params, start, buf[start : start + size])
-            # fc += coefficient * samples, one slice per job: elementwise, so the chunking changes no bit.
-            fc[start : start + size] += dimension.coefficient * draws
-
         moments: dict[str, tuple[float, float]] = {}
-        for d in chain.dimensions:
-            list(run(partial(draw, d), range(0, n, size)))
-            moments[d.name] = _moments_in_place(buf)
+        for name, stream in streams.items():
+            list(run(partial(_add_draws, fc, seed, [stream], size, buf), range(0, n, size)))
+            moments[name] = _moments_in_place(buf)
     fc.setflags(write=False)
 
     fc_name = chain.condition.name if chain.condition is not None else "fc"
-    return SampleBatch(
-        chain_name=chain.name,
-        n=n,
-        seed=seed,
-        per_dimension=_Columns(seed, n, streams),
-        moments=moments,
-        fc_samples=fc,
-        fc_name=fc_name,
-    )
+    return SampleBatch(chain_name=chain.name, n=n, seed=seed, per_dimension=_Columns(seed, n, streams),
+                       moments=moments, fc_samples=fc, fc_name=fc_name)
 
 
 @contextmanager
@@ -278,20 +263,29 @@ def _chunk_jobs(n: int, workers: int) -> Iterator[tuple[int, Callable]]:
             pool.shutdown()
 
 
+def _streams(chain: ToleranceChain, rule: SigmaRule) -> dict[str, tuple[int, float, DistributionParams]]:
+    """Each dimension's ``(stream index, coefficient, distribution)`` by name, in chain order."""
+    worst_case(chain)  # an overflow is the chain's fault, as in analyze
+    return {d.name: (i, d.coefficient, derive_distribution(d, rule)) for i, d in enumerate(chain.dimensions)}
+
+
+def _add_draws(fc: np.ndarray, seed: int, streams: list[tuple[int, float, DistributionParams]], size: int,
+               keep: np.ndarray | None, start: int) -> None:
+    """``fc += coefficient * draws`` on rows [start, start+size), stream by stream, drawn into those rows of
+    ``keep`` or, if None, one chunk array. Elementwise in stream order, so the chunking changes no bit."""
+    out = fc[start : start + size]
+    target = np.empty(out.size) if keep is None else keep[start : start + size]
+    for index, coefficient, params in streams:
+        # The product's temporary is made only once _normal_chunk has freed its bits.
+        out += coefficient * _normal_chunk(seed, index, params, start, target)
+
+
 def _fc_samples(chain: ToleranceChain, rule: SigmaRule, n: int, seed: int, size: int, run: Callable) -> np.ndarray:
     """``sample_chain(chain, rule, n, seed).fc_samples`` bit for bit, by one job per chunk over every dimension."""
     check_seed(seed)
-    worst_case(chain)
-    terms = [(i, d.coefficient, derive_distribution(d, rule)) for i, d in enumerate(chain.dimensions)]
+    streams = list(_streams(chain, rule).values())
     fc = np.zeros(n, dtype=np.float64)
-
-    def draw(start: int) -> None:
-        # sample_chain's steps on each element in its order, but with no n-sized buffer and no moments.
-        out, scratch = fc[start : start + size], np.empty(min(size, n - start))
-        for index, coefficient, params in terms:
-            out += np.multiply(_normal_chunk(seed, index, params, start, scratch), coefficient, out=scratch)
-
-    list(run(draw, range(0, n, size)))
+    list(run(partial(_add_draws, fc, seed, streams, size, None), range(0, n, size)))
     return fc
 
 
