@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import test_properties
 from conftest import ACTUATOR_DOC, make_actuator_chain
 from strategies import corner_extremes
 from tolchain import (
@@ -185,25 +186,20 @@ def test_criterion_8_byte_identical_outputs(chain_file, tmp_path):
     _report(8, "simulate output is byte-identical across reruns and worker counts", ok)
 
 
-def test_criterion_9_property_suites():
-    from test_properties import (
-        test_adjustment_preserves_midpoint,
-        test_round_trip_survives_serialization,
-        test_solve_is_conforming_and_widest,
-        test_translation_shifts_extremes_exactly,
-        test_widening_never_shrinks_interval,
-    )
-
-    suites = {
-        "round-trip": test_round_trip_survives_serialization,
-        "translation": test_translation_shifts_extremes_exactly,
-        "monotonicity": test_widening_never_shrinks_interval,
-        "midpoint-preservation": test_adjustment_preserves_midpoint,
-        "widest-solve": test_solve_is_conforming_and_widest,
-    }
-    for name, suite in suites.items():
-        cases = suite._hypothesis_internal_use_settings.max_examples
-        assert cases >= 200, f"{name} suite runs only {cases} cases"
-        suite()
-    _report(9, "five invariant property suites hold at >= 200 cases each", True,
-            ", ".join(suites))
+@pytest.mark.parametrize(
+    "suite",
+    [
+        test_properties.check_round_trip_survives_serialization,
+        test_properties.check_translation_shifts_extremes_exactly,
+        test_properties.check_widening_never_shrinks_interval,
+        test_properties.check_adjustment_preserves_midpoint,
+        test_properties.check_solve_is_conforming_and_widest,
+    ],
+    ids=["round-trip", "translation", "monotonicity", "midpoint-preservation", "widest-solve"],
+)
+def test_criterion_9_property_suites(suite, request):
+    name = request.node.callspec.id
+    cases = suite._hypothesis_internal_use_settings.max_examples
+    assert cases >= 200, f"{name} suite runs only {cases} cases"
+    suite()
+    _report(9, f"the {name} invariant property suite holds at >= 200 cases", True, f"{cases} cases")

@@ -1,10 +1,11 @@
 """Property-based invariants.
 
-The first five tests are the library's core invariants (round-trip,
+The five ``check_`` suites are the library's core invariants (round-trip,
 translation, monotonicity, midpoint preservation, the widest solve) and run
 with enlarged case counts; the dyadic strategies make the equalities of the
-middle three exact rather than approximate. The rest cross-check the engines
-against brute-force oracles and each other.
+middle three exact rather than approximate. pytest does not collect them
+here: acceptance criterion 9 in ``test_acceptance.py`` runs each once. The
+tests cross-check the engines against brute-force oracles and each other.
 """
 
 import math
@@ -46,7 +47,7 @@ IT6 = SigmaRule.it6()
 
 @settings(max_examples=250, deadline=None)
 @given(chains(condition="sometimes"))
-def test_round_trip_survives_serialization(chain):
+def check_round_trip_survives_serialization(chain):
     assert parse_chain(serialize_chain(chain)) == chain
     for d in chain.dimensions:
         assert d.min_limit <= d.max_limit
@@ -55,7 +56,7 @@ def test_round_trip_survives_serialization(chain):
 
 @settings(max_examples=250, deadline=None)
 @given(dyadic_chains(), dyadic_shifts(), st.data())
-def test_translation_shifts_extremes_exactly(chain, delta, data):
+def check_translation_shifts_extremes_exactly(chain, delta, data):
     index = data.draw(st.integers(0, len(chain.dimensions) - 1))
     moved = chain.dimensions[index]
     dims = list(chain.dimensions)
@@ -72,7 +73,7 @@ def test_translation_shifts_extremes_exactly(chain, delta, data):
 
 @settings(max_examples=250, deadline=None)
 @given(dyadic_chains(), dyadic_widenings(), dyadic_widenings(), st.data())
-def test_widening_never_shrinks_interval(chain, up, down, data):
+def check_widening_never_shrinks_interval(chain, up, down, data):
     index = data.draw(st.integers(0, len(chain.dimensions) - 1))
     d = chain.dimensions[index]
     widened = respecify(chain, d.name, d.upper_dev + up, d.lower_dev - down)
@@ -90,7 +91,7 @@ def test_widening_never_shrinks_interval(chain, up, down, data):
     st.sampled_from((0.0625, 0.125, 0.25, 0.5)),
     st.booleans(),
 )
-def test_adjustment_preserves_midpoint(dimension, factor, widen):
+def check_adjustment_preserves_midpoint(dimension, factor, widen):
     scale = 1.0 + factor if widen else 1.0 - factor
     new_upper, new_lower = scaled_deviations(dimension, scale)
     adjusted = replace(dimension, upper_dev=new_upper, lower_dev=new_lower)
@@ -103,7 +104,7 @@ def test_adjustment_preserves_midpoint(dimension, factor, widen):
 
 @settings(max_examples=200, deadline=None)
 @given(solvable_chains())
-def test_solve_is_conforming_and_widest(case):
+def check_solve_is_conforming_and_widest(case):
     chain, name = case
     solved = solve_unknown(chain, name)
     completed = respecify(chain, name, solved.upper_dev, solved.lower_dev)
