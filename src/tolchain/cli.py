@@ -24,10 +24,10 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from . import __version__
-from .model import ChainSyntaxError, ChainValidationError, ConformityStatus, parse_chain
+from .model import MAX_SEED, ChainSyntaxError, ChainValidationError, ConformityStatus, parse_chain
 from .worstcase import InfeasibleToleranceError, it_budget, solve_unknown, verify_worst_case, worst_case
 
 __all__ = ["RunConfig", "build_parser", "main", "run"]
@@ -72,6 +72,16 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "bins": ("--bins", {"type": int, "help": "histogram bin count"}),
     "target_scrap": ("--target-scrap", {"type": float, "required": True,
                                         "help": "desired scrap fraction in (0, 1)"}),
+}
+
+# What each checked flag's value must satisfy, keyed by its RunConfig field, and the requirement an error states.
+_VALID: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "samples": (lambda n: n >= 1, "sample count must be >= 1"),
+    "seed": (lambda seed: 0 <= seed < MAX_SEED, "seed must be an unsigned 64-bit integer"),
+    "workers": (lambda workers: workers >= 1, "workers must be >= 1"),
+    "coverage_sigmas": (lambda c: math.isfinite(c) and c > 0.0, "coverage_sigmas must be finite and > 0"),
+    "bins": (lambda bins: bins >= 1, "bin count must be >= 1"),
+    "target_scrap": (lambda p: 0.0 < p < 1.0, "target_scrap must lie in (0, 1)"),
 }
 
 _IO = ("chain", "output", "format")
@@ -185,15 +195,13 @@ def run(cfg: RunConfig) -> int:
     Raises the underlying errors (I/O, syntax, validation, infeasibility);
     :func:`main` maps them to exit codes and stderr messages.
     """
-    # Flags first: a bad flag is blamed before the chain is read.
-    if cfg.command == "simulate":
-        if not (math.isfinite(cfg.coverage_sigmas) and cfg.coverage_sigmas > 0.0):
-            raise ValueError(f"--coverage must be finite and > 0, got {cfg.coverage_sigmas!r}")
-        if cfg.bins < 1:
-            raise ValueError(f"--bins must be >= 1, got {cfg.bins}")
+    # Flags first: a bad flag is blamed, as it was spelled, before the chain is read.
+    for dest in _COMMANDS[cfg.command][1]:
+        if dest in _VALID and not _VALID[dest][0](getattr(cfg, dest)):
+            raise ValueError(f"{_FLAGS[dest][0]}: {_VALID[dest][1]}, got {getattr(cfg, dest)!r}")
 
     raw = cfg.chain.read_bytes()
-    chain = parse_chain(raw.decode("utf-8"))
+    chain = parse_chain(raw)
 
     report: dict[str, Any] = {
         "tool": "tolchain",
@@ -287,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (OSError, ValueError) as exc:
         print(f"tolchain: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input too large for this host, such as --samples; never verify's exit 1
+        print(f"tolchain: out of memory: {exc}" if str(exc) else "tolchain: out of memory", file=sys.stderr)
         return 2
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Any, Mapping
@@ -44,12 +45,13 @@ class ChainValidationError(ValueError):
 
 
 def _as_finite_float(value: Any, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # numpy's integers and floats are Reals
         raise ChainValidationError(f"{what} must be a real number, got {value!r}")
     try:
         value = float(value)
-    except OverflowError:  # an integer beyond a double's range, too long to print past 4300 digits
-        raise ChainValidationError(f"{what} must be finite, got an integer of {value.bit_length()} bits") from None
+    except OverflowError:  # beyond a double's range, too long to print past 4300 digits
+        kind = "an integer" if isinstance(value, numbers.Integral) else "a number"
+        raise ChainValidationError(f"{what} must be finite, got {kind} of {int(value).bit_length()} bits") from None
     if not math.isfinite(value):
         raise ChainValidationError(f"{what} must be finite, got {value!r}")
     return value
@@ -295,8 +297,8 @@ def _checked(obj: Any, where: str, table: Mapping[str, type]) -> dict[str, Any]:
     return obj
 
 
-def parse_chain(text: str) -> ToleranceChain:
-    """Parse and validate a chain-definition document.
+def parse_chain(text: str | bytes) -> ToleranceChain:
+    """Parse and validate a chain-definition document, given as text or as its UTF-8 bytes.
 
     The document is a strict UTF-8 JSON object::
 
@@ -312,8 +314,9 @@ def parse_chain(text: str) -> ToleranceChain:
 
     ``condition`` is optional, as are its ``min``/``max`` bounds. Unknown or
     duplicate keys are rejected, as are non-finite numbers and numbers beyond
-    a double's range. A document too deeply nested for the decoder, or with
-    an integer of more digits than Python converts, is invalid JSON.
+    a double's range. Bytes that are not UTF-8, a document too deeply nested
+    for the decoder, or one with an integer of more digits than Python
+    converts, are invalid JSON.
 
     Raises:
         ChainSyntaxError: the document is not the expected JSON shape.
@@ -321,6 +324,8 @@ def parse_chain(text: str) -> ToleranceChain:
             the invariant and the offending dimension.
     """
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")  # strict: a UTF-16 or UTF-32 file is not a chain document
         raw = json.loads(text, object_pairs_hook=_reject_duplicates, parse_constant=_reject_constant)
     except ChainSyntaxError:
         raise

@@ -503,6 +503,66 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert err.startswith("tolchain: invalid chain: invalid JSON: ")
 
+    @pytest.mark.parametrize(
+        "raw, position",
+        [(b'{"name": "\xff"}', 10), (json.dumps(ACTUATOR_DOC).encode("utf-16"), 0)],
+        ids=["latin-1", "utf-16"],
+    )
+    def test_chain_file_that_is_not_utf8_is_an_invalid_chain(self, tmp_path, capsys, raw, position):
+        path = tmp_path / "chain.json"
+        path.write_bytes(raw)
+        code, out, err = run_cli(["verify", "--chain", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "tolchain: invalid chain: invalid JSON: "
+            f"'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--samples", "0"], "--samples: sample count must be >= 1, got 0"),
+            (["synthesize", "--samples", "0"], "--samples: sample count must be >= 1, got 0"),
+            (["simulate", "--seed", "-1"], "--seed: seed must be an unsigned 64-bit integer, got -1"),
+            (["synthesize", "--seed", str(2**64)],
+             f"--seed: seed must be an unsigned 64-bit integer, got {2**64}"),
+            (["simulate", "--workers", "0"], "--workers: workers must be >= 1, got 0"),
+            (["synthesize", "--workers", "-2"], "--workers: workers must be >= 1, got -2"),
+            (["synthesize", "--target-scrap", "1.5"], "--target-scrap: target_scrap must lie in (0, 1), got 1.5"),
+            (["synthesize", "--target-scrap", "nan"], "--target-scrap: target_scrap must lie in (0, 1), got nan"),
+            (["simulate", "--coverage", "inf"], "--coverage: coverage_sigmas must be finite and > 0, got inf"),
+            (["simulate", "--bins", "0"], "--bins: bin count must be >= 1, got 0"),
+        ],
+        ids=["samples", "synthesize-samples", "seed", "synthesize-seed", "workers", "synthesize-workers",
+             "target-scrap", "target-scrap-nan", "coverage", "bins"],
+    )
+    def test_bad_sampling_flag_is_named_before_the_chain_is_read(self, tmp_path, capsys, argv, message):
+        if argv[0] == "synthesize" and "--target-scrap" not in argv:
+            argv = [*argv, "--target-scrap", "0.01"]
+        code, out, err = run_cli([*argv, "--chain", str(tmp_path / "absent.json")], capsys)
+        assert (code, out, err) == (2, "", f"tolchain: {message}\n")
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [(MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"),
+          "tolchain: out of memory: Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+          "and data type float64\n"),
+         (MemoryError(), "tolchain: out of memory\n")],
+        ids=["numpy", "bare"],
+    )
+    def test_out_of_memory_is_an_input_error(self, chain_file, tmp_path, capsys, monkeypatch, error, message):
+        # Exit 2, not a traceback and exit 1, which is verify's non-conforming verdict. The error is
+        # raised, not provoked: a host that overcommits memory would grant a huge array and fail later.
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(montecarlo, "sample_chain", exhausted)
+        before = set(tmp_path.iterdir())
+        argv = ["simulate", "--chain", str(chain_file), "--samples", "1000000000000"]
+        code, out, err = run_cli([*argv, "--output", str(tmp_path / "r.json")], capsys)
+        assert (code, out, err) == (2, "", message)
+        assert set(tmp_path.iterdir()) == before
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -2,7 +2,9 @@
 
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,17 @@ class TestDimensionSpec:
         assert isinstance(d.nominal, float)
         assert isinstance(d.coefficient, float)
         assert d == DimensionSpec("x", 10.0, 1.0, 0.0, 1.0)
+
+    def test_numpy_integers_and_other_reals_become_floats(self):
+        d = DimensionSpec("x", np.int64(10), np.float32(0.5), np.uint8(0), Fraction(-1))
+        assert d == DimensionSpec("x", 10.0, 0.5, 0.0, -1.0)
+        assert {type(v) for v in (d.nominal, d.upper_dev, d.lower_dev, d.coefficient)} == {float}
+        assert FunctionalCondition("J", np.int32(-1), np.int16(2)) == FunctionalCondition("J", -1.0, 2.0)
+        with pytest.raises(ChainValidationError, match="^dimension 'x': nominal must be a real number, got "):
+            DimensionSpec("x", np.bool_(True), 0.5, 0.0, 1.0)  # not a numbers.Real, unlike a numpy integer
+        message = "dimension 'x': nominal must be finite, got a number of 1328 bits"
+        with pytest.raises(ChainValidationError, match=f"^{message}$"):
+            DimensionSpec("x", Fraction(10**400, 3), 0.5, 0.0, 1.0)
 
     def test_inverted_deviations_rejected(self):
         with pytest.raises(ChainValidationError, match="'bad'.*lower_dev"):
@@ -357,6 +370,19 @@ class TestParseChain:
         with pytest.raises(ChainSyntaxError) as excinfo:
             parse_chain(text)
         assert str(excinfo.value).startswith(f"invalid JSON: {reason}")
+
+    def test_utf8_bytes_parse_as_their_text(self, actuator_text):
+        assert parse_chain(actuator_text.encode("utf-8")) == parse_chain(actuator_text)
+
+    @pytest.mark.parametrize(
+        "raw, position",
+        [(b'{"name": "\xff"}', 10), ('{"name": "c"}'.encode("utf-16"), 0), ('{"name": "c"}'.encode("utf-32"), 0)],
+        ids=["latin-1", "utf-16", "utf-32"],
+    )
+    def test_bytes_that_are_not_utf8_are_invalid_json(self, raw, position):
+        message = f"invalid JSON: 'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte"
+        with pytest.raises(ChainSyntaxError, match=f"^{message}$"):
+            parse_chain(raw)
 
     def test_duplicate_keys_rejected(self):
         text = '{"name": "c", "name": "d", "dimensions": []}'
