@@ -5,16 +5,29 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import stat
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import ACTUATOR_DOC, traced_peak
-from tolchain import montecarlo, parse_chain
+from conftest import ACTUATOR_DOC, make_actuator_chain, traced_peak
+from tolchain import SigmaRule, SynthesisConfig, histogram_csv, montecarlo, parse_chain, sample_chain
+from tolchain import statistical_interval
 from tolchain.cli import main
+
+# The library call that checks each sampling flag's value.
+LIBRARY_ENTRY_POINTS = {
+    "--samples": lambda value: sample_chain(make_actuator_chain(), SigmaRule.it6(), value, 1),
+    "--seed": lambda value: sample_chain(make_actuator_chain(), SigmaRule.it6(), 10, value),
+    "--workers": lambda value: sample_chain(make_actuator_chain(), SigmaRule.it6(), 10, 1, workers=value),
+    "--coverage": lambda value: statistical_interval([1.0, 2.0], value),
+    "--bins": lambda value: histogram_csv([1.0, 2.0], value),
+    "--target-scrap": lambda value: SynthesisConfig(target_scrap=value),
+}
 
 
 def write_chain(directory, doc, name="chain.json"):
@@ -541,6 +554,48 @@ class TestErrorPaths:
             argv = [*argv, "--target-scrap", "0.01"]
         code, out, err = run_cli([*argv, "--chain", str(tmp_path / "absent.json")], capsys)
         assert (code, out, err) == (2, "", f"tolchain: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, flag, text, value",
+        [
+            ("simulate", "--samples", "0", 0),
+            ("simulate", "--seed", "-1", -1),
+            ("synthesize", "--seed", str(2**64), 2**64),
+            ("simulate", "--workers", "0", 0),
+            ("simulate", "--coverage", "0", 0.0),
+            ("simulate", "--coverage", "nan", math.nan),
+            ("simulate", "--bins", "0", 0),
+            ("synthesize", "--target-scrap", "1.5", 1.5),
+        ],
+        ids=["samples", "seed", "seed-2**64", "workers", "coverage", "coverage-nan", "bins", "target-scrap"],
+    )
+    def test_sampling_flag_error_is_the_library_error(self, tmp_path, capsys, command, flag, text, value):
+        # The CLI states the library's rule and message for the parsed value, prefixed by the flag.
+        with pytest.raises(ValueError) as exc:
+            LIBRARY_ENTRY_POINTS[flag](value)
+        argv = [command, flag, text, "--chain", str(tmp_path / "absent.json")]
+        if command == "synthesize" and flag != "--target-scrap":
+            argv += ["--target-scrap", "0.01"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", f"tolchain: {flag}: {exc.value}\n")
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--samples", np.int64(0), "sample count must be >= 1, got 0"),
+            ("--seed", np.int64(-1), "seed must be an unsigned 64-bit integer, got np.int64(-1)"),
+            ("--workers", np.int64(0), "workers must be >= 1, got 0"),
+            ("--coverage", np.float64(0.0), "coverage_sigmas must be finite and > 0, got np.float64(0.0)"),
+            ("--bins", np.int64(0), "bin count must be >= 1, got 0"),
+            ("--target-scrap", np.float64(1.5), "target_scrap must lie in (0, 1), got np.float64(1.5)"),
+        ],
+        ids=["samples", "seed", "workers", "coverage", "bins", "target-scrap"],
+    )
+    def test_library_error_quotes_a_numpy_value_as_its_rule_does(self, flag, value, message):
+        # Counts are quoted with str, the seed and the fractions with repr.
+        with pytest.raises(ValueError) as exc:
+            LIBRARY_ENTRY_POINTS[flag](value)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "error, message",
