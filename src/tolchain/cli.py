@@ -19,15 +19,14 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from . import __version__
-from .model import MAX_SEED, ChainSyntaxError, ChainValidationError, ConformityStatus, parse_chain
+from .model import SAMPLING_RULES, ChainSyntaxError, ChainValidationError, ConformityStatus, check, parse_chain
 from .worstcase import InfeasibleToleranceError, it_budget, solve_unknown, verify_worst_case, worst_case
 
 __all__ = ["RunConfig", "build_parser", "main", "run"]
@@ -72,16 +71,6 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "bins": ("--bins", {"type": int, "help": "histogram bin count"}),
     "target_scrap": ("--target-scrap", {"type": float, "required": True,
                                         "help": "desired scrap fraction in (0, 1)"}),
-}
-
-# What each checked flag's value must satisfy, keyed by its RunConfig field, and the requirement an error states.
-_VALID: dict[str, tuple[Callable[[Any], bool], str]] = {
-    "samples": (lambda n: n >= 1, "sample count must be >= 1"),
-    "seed": (lambda seed: 0 <= seed < MAX_SEED, "seed must be an unsigned 64-bit integer"),
-    "workers": (lambda workers: workers >= 1, "workers must be >= 1"),
-    "coverage_sigmas": (lambda c: math.isfinite(c) and c > 0.0, "coverage_sigmas must be finite and > 0"),
-    "bins": (lambda bins: bins >= 1, "bin count must be >= 1"),
-    "target_scrap": (lambda p: 0.0 < p < 1.0, "target_scrap must lie in (0, 1)"),
 }
 
 _IO = ("chain", "output", "format")
@@ -197,8 +186,8 @@ def run(cfg: RunConfig) -> int:
     """
     # Flags first: a bad flag is blamed, as it was spelled, before the chain is read.
     for dest in _COMMANDS[cfg.command][1]:
-        if dest in _VALID and not _VALID[dest][0](getattr(cfg, dest)):
-            raise ValueError(f"{_FLAGS[dest][0]}: {_VALID[dest][1]}, got {getattr(cfg, dest)!r}")
+        if dest in SAMPLING_RULES:
+            check(dest, getattr(cfg, dest), f"{_FLAGS[dest][0]}: ")
 
     raw = cfg.chain.read_bytes()
     chain = parse_chain(raw)

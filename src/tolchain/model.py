@@ -18,7 +18,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 __all__ = [
     "ChainSyntaxError",
@@ -68,10 +68,23 @@ def _checked_name(value: Any, what: str) -> str:
 # Seeds key the Philox streams of the Monte Carlo layer, one 64-bit word each.
 MAX_SEED = 2**64
 
+# What each sampling parameter must satisfy, keyed by its RunConfig field, and the error's text for a value
+# that does not: a count is quoted with str, the seed and the fractions with repr.
+SAMPLING_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "samples": (lambda n: n >= 1, "sample count must be >= 1, got {}"),
+    "seed": (lambda seed: 0 <= seed < MAX_SEED, "seed must be an unsigned 64-bit integer, got {!r}"),
+    "workers": (lambda workers: workers >= 1, "workers must be >= 1, got {}"),
+    "coverage_sigmas": (lambda c: math.isfinite(c) and c > 0.0, "coverage_sigmas must be finite and > 0, got {!r}"),
+    "bins": (lambda bins: bins >= 1, "bin count must be >= 1, got {}"),
+    "target_scrap": (lambda p: 0.0 < p < 1.0, "target_scrap must lie in (0, 1), got {!r}"),
+}
 
-def check_seed(seed: int) -> None:
-    if not 0 <= seed < MAX_SEED:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+
+def check(name: str, value: Any, prefix: str = "") -> None:
+    """Raise ``ValueError``, its message led by ``prefix``, unless ``value`` meets the rule of parameter ``name``."""
+    valid, message = SAMPLING_RULES[name]
+    if not valid(value):
+        raise ValueError(prefix + message.format(value))
 
 
 @dataclass(frozen=True)

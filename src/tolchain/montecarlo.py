@@ -29,7 +29,7 @@ from .model import (
     FunctionalCondition,
     IntervalResult,
     ToleranceChain,
-    check_seed,
+    check,
 )
 from .worstcase import worst_case
 
@@ -228,9 +228,8 @@ def sample_chain(
         seed: 64-bit unsigned stream selector.
         workers: thread count for chunk evaluation (>= 1), capped at the core count.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    check_seed(seed)
+    check("samples", n)
+    check("seed", seed)
     with _chunk_jobs(n, workers) as (size, run):
         streams = _streams(chain, rule)
         fc = np.zeros(n, dtype=np.float64)
@@ -250,8 +249,7 @@ def sample_chain(
 def _chunk_jobs(n: int, workers: int) -> Iterator[tuple[int, Callable]]:
     """``(size, map)`` for jobs over ``n`` rows: equal chunks of at most _CHUNK rows, each a multiple of 4, in a
     multiple of the thread count, run on a pool capped at the core count, or in the caller at 1 worker."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check("workers", workers)
     threads = min(workers, os.cpu_count() or 1)
     chunks = -(-n // _CHUNK)
     chunks += -chunks % threads
@@ -282,7 +280,6 @@ def _add_draws(fc: np.ndarray, seed: int, streams: list[tuple[int, float, Distri
 
 def _fc_samples(chain: ToleranceChain, rule: SigmaRule, n: int, seed: int, size: int, run: Callable) -> np.ndarray:
     """``sample_chain(chain, rule, n, seed).fc_samples`` bit for bit, by one job per chunk over every dimension."""
-    check_seed(seed)
     streams = list(_streams(chain, rule).values())
     fc = np.zeros(n, dtype=np.float64)
     list(run(partial(_add_draws, fc, seed, streams, size, None), range(0, n, size)))
@@ -325,8 +322,7 @@ def _moments_in_place(x: np.ndarray) -> tuple[float, float]:
 
 def _interval(mean: float, stdev: float, coverage_sigmas: float) -> IntervalResult:
     """The statistical interval mean +/- ``coverage_sigmas`` * stdev."""
-    if not (math.isfinite(coverage_sigmas) and coverage_sigmas > 0.0):
-        raise ValueError(f"coverage_sigmas must be finite and > 0, got {coverage_sigmas!r}")
+    check("coverage_sigmas", coverage_sigmas)
     bounds = (mean - coverage_sigmas * stdev, mean + coverage_sigmas * stdev, 2.0 * coverage_sigmas * stdev)
     if not all(map(math.isfinite, bounds)):
         raise ValueError(f"coverage_sigmas {coverage_sigmas!r} makes the interval of stdev {stdev!r} non-finite")
@@ -434,8 +430,7 @@ def histogram_csv(samples: Sequence[float] | np.ndarray, bins: int = 50) -> str:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("histogram requires a non-empty sample set")
-    if bins < 1:
-        raise ValueError(f"bin count must be >= 1, got {bins}")
+    check("bins", bins)
     low, high = float(arr.min()), float(arr.max())  # min and max propagate NaN
     if not math.isfinite(high - low):
         raise ValueError(f"the samples hold a NaN or an inf, or their range overflows: min {low!r}, max {high!r}")

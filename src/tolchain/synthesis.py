@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Any
 
-from .model import MAX_SEED, DimensionSpec, ToleranceChain, chain_document, check_seed, respecify
+from .model import MAX_SEED, DimensionSpec, ToleranceChain, chain_document, check, respecify
 from .montecarlo import ScrapReport, SigmaRule, _chunk_jobs, _fc_samples, analytic_scrap, scrap_rate
 
 __all__ = [
@@ -54,11 +54,10 @@ class SynthesisConfig:
     frozen: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.target_scrap < 1.0):
-            raise ValueError(f"target_scrap must lie in (0, 1), got {self.target_scrap!r}")
+        check("target_scrap", self.target_scrap)
         if self.n_per_iteration < 1:
             raise ValueError(f"n_per_iteration must be >= 1, got {self.n_per_iteration!r}")
-        check_seed(self.seed)
+        check("seed", self.seed)
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
         if not (0.0 < self.adjustment_factor < 1.0):
