@@ -41,8 +41,8 @@ class SynthesisConfig:
     """Knobs of the adjustment loop.
 
     ``tolerance_band`` is the acceptable relative deviation from the target:
-    the loop stops once |scrap - target| <= tolerance_band * target. Names in
-    ``frozen`` are never adjusted.
+    the loop stops once |scrap - target| <= tolerance_band * target. The
+    dimensions named in ``frozen``, which the chain must have, are never adjusted.
     """
 
     target_scrap: float
@@ -64,6 +64,8 @@ class SynthesisConfig:
             raise ValueError(f"adjustment_factor must lie in (0, 1), got {self.adjustment_factor!r}")
         if not (self.tolerance_band >= 0.0 and math.isfinite(self.tolerance_band)):
             raise ValueError(f"tolerance_band must be finite and >= 0, got {self.tolerance_band!r}")
+        if isinstance(self.frozen, str):
+            raise ValueError(f"frozen must be a collection of dimension names, not the string {self.frozen!r}")
         object.__setattr__(self, "frozen", frozenset(self.frozen))
 
 
@@ -149,6 +151,9 @@ def synthesize(
     condition = chain.condition
     if condition is None or condition.imposed_min is None or condition.imposed_max is None:
         raise ValueError("synthesize requires an imposed condition with both bounds")
+    unknown = sorted(cfg.frozen - {d.name for d in chain.dimensions})
+    if unknown:
+        raise ValueError(f"frozen dimension(s) {unknown} not in chain {chain.name!r}")
     if all(d.name in cfg.frozen for d in chain.dimensions):
         raise ValueError("synthesize requires at least one non-frozen dimension")
 

@@ -264,6 +264,12 @@ class TestSynthesizePolicy:
         with pytest.raises(ValueError, match="non-frozen"):
             synthesize(actuator_chain, IT6, cfg)
 
+    def test_frozen_name_the_chain_lacks_is_named(self, actuator_chain):
+        # A misspelt name would otherwise freeze nothing and let the loop move a1 instead.
+        cfg = SynthesisConfig(target_scrap=0.01, n_per_iteration=100, frozen={"a9", "a1"})
+        with pytest.raises(ValueError, match=r"^frozen dimension\(s\) \['a9'\] not in chain 'actuator-clamping'$"):
+            synthesize(actuator_chain, IT6, cfg)
+
 
 class TestSynthesizeSampling:
     """Each run draws the condition samples of sample_chain on at most one pool."""
@@ -356,6 +362,11 @@ class TestSynthesisConfig:
     def test_frozen_names_coerced_to_frozenset(self):
         cfg = SynthesisConfig(target_scrap=0.01, frozen=["a", "b"])
         assert cfg.frozen == frozenset({"a", "b"})
+
+    def test_frozen_bare_string_is_rejected(self):
+        # frozenset("a1") would freeze the names "a" and "1".
+        with pytest.raises(ValueError, match="^frozen must be a collection of dimension names, not the string 'a1'$"):
+            SynthesisConfig(target_scrap=0.01, frozen="a1")
 
     def test_exact_band_zero_is_allowed(self):
         assert SynthesisConfig(target_scrap=0.5, tolerance_band=0.0).tolerance_band == 0.0
