@@ -126,7 +126,10 @@ def derive_distribution(dimension: DimensionSpec, rule: SigmaRule) -> Distributi
             sigma = rule.sigmas[dimension.name]
         except KeyError:
             raise ValueError(f"no explicit sigma given for dimension {dimension.name!r}") from None
-    return DistributionParams(mean=dimension.midpoint, sigma=sigma)
+    try:
+        return DistributionParams(mean=dimension.midpoint, sigma=sigma)
+    except ValueError as exc:  # a midpoint or a width that overflows, though both limits are finite
+        raise ValueError(f"dimension {dimension.name!r}: {exc}") from None
 
 
 def propagate_analytic(chain: ToleranceChain, rule: SigmaRule) -> DistributionParams:
@@ -237,7 +240,7 @@ def sample_chain(
         moments: dict[str, tuple[float, float]] = {}
         for name, stream in streams.items():
             list(run(partial(_add_draws, fc, seed, [stream], size, buf), range(0, n, size)))
-            moments[name] = _moments_in_place(buf)
+            moments[name] = _moments_in_place(buf, f" of dimension {name!r}")
     fc.setflags(write=False)
 
     fc_name = chain.condition.name if chain.condition is not None else "fc"
@@ -294,30 +297,24 @@ def statistical_interval(samples: Sequence[float] | np.ndarray, coverage_sigmas:
     two-sided normal coverage. The samples' mean and stdev must be finite;
     ``coverage_sigmas`` must be finite, > 0, and keep the interval finite.
     """
-    return _interval(*_sample_moments(samples), coverage_sigmas)
-
-
-def _sample_moments(samples: Sequence[float] | np.ndarray) -> tuple[float, float]:
-    """Sample mean and n-1 standard deviation (0 for a single sample), both finite."""
     arr = np.array(samples, dtype=np.float64)  # a copy, which the moments overwrite
     if arr.size == 0:
         raise ValueError("statistical_interval requires a non-empty sample set")
+    return _interval(*_moments_in_place(arr), coverage_sigmas)
+
+
+def _moments_in_place(x: np.ndarray, of: str = "") -> tuple[float, float]:
+    """``(x.mean(), x.std(ddof=1))``, or stdev 0 for one element, by numpy's own steps; overwrites ``x``. Both must
+    be finite, or the error blames the samples, which ``of`` names (such as ``" of dimension 'a'"``)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = _moments_in_place(arr)
+        mean = float(x.sum()) / x.size
+        np.subtract(x, mean, out=x)
+        np.square(x, out=x)
+        moments = mean, (math.sqrt(float(x.sum()) / (x.size - 1)) if x.size > 1 else 0.0)
     if not all(map(math.isfinite, moments)):
-        raise ValueError("the samples hold a NaN or an inf, or their spread overflows: mean %r, stdev %r" % moments)
+        raise ValueError("the samples%s hold a NaN or an inf, or their spread overflows: mean %r, stdev %r"
+                         % (of, *moments))
     return moments
-
-
-def _moments_in_place(x: np.ndarray) -> tuple[float, float]:
-    """``(x.mean(), x.std(ddof=1))``, or stdev 0 for one element, by numpy's own steps; overwrites ``x``."""
-    n = x.size
-    mean = float(x.sum()) / n
-    if n == 1:
-        return mean, 0.0
-    np.subtract(x, mean, out=x)
-    np.square(x, out=x)
-    return mean, math.sqrt(float(x.sum()) / (n - 1))
 
 
 def _interval(mean: float, stdev: float, coverage_sigmas: float) -> IntervalResult:
@@ -461,7 +458,8 @@ def batch_summary(
         "seed": batch.seed,
         "coverage_sigmas": coverage_sigmas,
         "per_dimension": {name: _stats(*moments) for name, moments in batch.moments.items()},
-        "fc": {"name": batch.fc_name, **_stats(*_sample_moments(batch.fc_samples))},
+        "fc": {"name": batch.fc_name,  # moments of a copy, which they overwrite
+               **_stats(*_moments_in_place(np.array(batch.fc_samples), f" of condition {batch.fc_name!r}"))},
         "analytic": asdict(propagate_analytic(chain, rule)),
     }
     if chain.condition is not None and chain.condition.is_bounded:

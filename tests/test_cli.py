@@ -8,6 +8,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import ACTUATOR_DOC, make_actuator_chain, traced_peak
+import tolchain
 from tolchain import SigmaRule, SynthesisConfig, histogram_csv, montecarlo, parse_chain, sample_chain
 from tolchain import statistical_interval
 from tolchain.cli import main
@@ -617,6 +620,32 @@ class TestErrorPaths:
         code, out, err = run_cli([*argv, "--output", str(tmp_path / "r.json")], capsys)
         assert (code, out, err) == (2, "", message)
         assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "deviations, argv, message",
+        [((1e200, -1e200), ["simulate", "--samples", "1000"],
+          "tolchain: the samples of dimension 'a' hold a NaN or an inf, or their spread overflows: mean "),
+         ((1e308, 1e308), ["simulate"], "tolchain: dimension 'a': distribution parameters must be finite\n"),
+         ((1e308, 1e308), ["synthesize", "--target-scrap", "0.01"],
+          "tolchain: dimension 'a': distribution parameters must be finite\n")],
+        ids=["spread-simulate", "midpoint-simulate", "midpoint-synthesize"],
+    )
+    def test_overflowing_distribution_names_the_dimension(self, tmp_path, capsys, deviations, argv, message):
+        # a's limits are finite, so analyze accepts the chain; its sampled spread, or its zone midpoint, is not.
+        # A fresh interpreter shows stderr as a user sees it, numpy warnings included.
+        upper, lower = deviations
+        doc = {"name": "big", "condition": {"name": "J", "min": -1e300, "max": 1.5e308}, "dimensions": [
+            {"name": "a", "nominal": 0.0, "upper_dev": upper, "lower_dev": lower, "coefficient": 1.0},
+            {"name": "b", "nominal": 1.0, "upper_dev": 0.1, "lower_dev": -0.1, "coefficient": -1.0}]}
+        path = write_chain(tmp_path, doc)
+        assert run_cli(["analyze", "--chain", str(path)], capsys)[0] == 0
+        src = str(Path(tolchain.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "tolchain.cli", *argv, "--chain", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+        assert "coverage" not in proc.stderr and "Warning" not in proc.stderr
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:

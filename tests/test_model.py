@@ -122,6 +122,14 @@ class TestToleranceChain:
         with pytest.raises(ChainValidationError, match="more than once"):
             ToleranceChain("dup", dims)
 
+    def test_element_that_is_not_a_dimension_rejected(self):
+        with pytest.raises(ChainValidationError, match=r"^chain 'c': \('a', 1.0\) is not a DimensionSpec$"):
+            ToleranceChain("c", (DimensionSpec("b", 1.0, 0.1, -0.1, 1.0), ("a", 1.0)))
+
+    def test_condition_that_is_not_a_functional_condition_rejected(self):
+        with pytest.raises(ChainValidationError, match="^chain 'c': condition must be a FunctionalCondition$"):
+            ToleranceChain("c", (DimensionSpec("a", 1.0, 0.1, -0.1, 1.0),), ("J", 0.0, 2.0))
+
     def test_dimension_lookup(self):
         dims = (DimensionSpec("a", 1.0, 0.0, 0.0, 1.0), DimensionSpec("b", 2.0, 0.0, 0.0, 1.0))
         chain = ToleranceChain("c", dims)

@@ -118,6 +118,23 @@ class TestDeriveDistribution:
         with pytest.raises(ValueError, match="no explicit sigma given for dimension 'a'"):
             derive_distribution(DimensionSpec("a", 5.0, 0.3, -0.3, 1.0), rule)
 
+    @pytest.mark.parametrize("lower", [1e308, -1e308], ids=["midpoint", "sigma"])
+    def test_overflowing_distribution_names_the_dimension(self, lower):
+        # The limits are finite, but the midpoint's sum 1e308 + 1e308, or the width 1e308 - -1e308, is not.
+        with pytest.raises(ValueError, match="^dimension 'a': distribution parameters must be finite$"):
+            derive_distribution(DimensionSpec("a", 0.0, 1e308, lower, 1.0), IT6)
+
+    @pytest.mark.parametrize(
+        "mean, sigma, message",
+        [(math.inf, 1.0, "distribution parameters must be finite"),
+         (0.0, math.nan, "distribution parameters must be finite"),
+         (0.0, -0.1, "sigma must be >= 0, got -0.1")],
+        ids=["inf-mean", "nan-sigma", "negative-sigma"],
+    )
+    def test_params_are_checked(self, mean, sigma, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DistributionParams(mean, sigma)
+
 
 class TestPropagateAnalytic:
     def test_actuator_moments(self, actuator_chain):
@@ -351,6 +368,26 @@ class TestSampleChain:
             fc = montecarlo._fc_samples(chain, IT6, 70_001, 5, size, run)
         assert fc.tobytes() == sample_chain(chain, IT6, 70_001, 5, workers=2).fc_samples.tobytes()
 
+    def test_overflowing_spread_names_the_dimension(self):
+        # a's draws are finite, but their squared deviations, near 1e399, are not.
+        chain = ToleranceChain("big", (DimensionSpec("a", 0.0, 1e200, -1e200, 1.0),),
+                               FunctionalCondition("J", -1e300, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy RuntimeWarning on the way
+            with pytest.raises(ValueError, match=r"^the samples of dimension 'a' hold a NaN or an inf, or their "
+                                                 r"spread overflows: mean -?\d.*e\+19\d, stdev inf$"):
+                sample_chain(chain, IT6, 1000, 1)
+
+    def test_overflowing_condition_spread_names_the_condition(self):
+        # Each dimension's squared deviations sum to about 6e307; the condition's, four times that, overflow.
+        dims = tuple(DimensionSpec(f"d{i}", 0.0, 7.3e152, -7.3e152, 1.0) for i in range(4))
+        chain = ToleranceChain("spread", dims, FunctionalCondition("J", -1e300, 1e300))
+        batch = sample_chain(chain, IT6, 1000, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the samples of condition 'J' hold a NaN or an inf, or their spread"):
+                batch_summary(chain, batch, IT6)
+
 
 class TestStatisticalInterval:
     def test_constant_samples(self):
@@ -414,6 +451,13 @@ class TestScrapRate:
         assert (report.below, report.above) == (1, 1)
         assert report.scrap_rate == 0.5
         assert report.ci95_half_width == pytest.approx(1.96 * math.sqrt(0.25 / 4))
+
+    @pytest.mark.parametrize(
+        "n, below, above", [(0, 0, 0), (3, -1, 0), (3, 0, -1), (3, 2, 2)], ids=["empty", "below", "above", "sum"]
+    )
+    def test_inconsistent_counts_rejected(self, n, below, above):
+        with pytest.raises(ValueError, match="^inconsistent scrap counts$"):
+            montecarlo.ScrapReport(n=n, below=below, above=above, scrap_rate=0.0, ci95_half_width=0.0)
 
     def test_boundary_values_conform(self):
         report = scrap_rate([2.0, 3.0], FunctionalCondition("J", 2.0, 3.0))
