@@ -2,8 +2,10 @@
 
 import json
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from scipy.special import ndtri
 
@@ -341,23 +343,38 @@ class TestSynthesizeSampling:
 
 class TestSynthesisConfig:
     @pytest.mark.parametrize(
-        "kwargs, match",
+        "kwargs, message",
         [
-            ({"target_scrap": 0.0}, "target_scrap"),
-            ({"target_scrap": 1.0}, "target_scrap"),
-            ({"target_scrap": 0.01, "n_per_iteration": 0}, "n_per_iteration"),
-            ({"target_scrap": 0.01, "seed": -1}, "seed"),
-            ({"target_scrap": 0.01, "seed": 2**64}, "seed"),
-            ({"target_scrap": 0.01, "max_iterations": 0}, "max_iterations"),
-            ({"target_scrap": 0.01, "adjustment_factor": 0.0}, "adjustment_factor"),
-            ({"target_scrap": 0.01, "adjustment_factor": 1.0}, "adjustment_factor"),
-            ({"target_scrap": 0.01, "tolerance_band": -0.1}, "tolerance_band"),
-            ({"target_scrap": 0.01, "tolerance_band": math.inf}, "tolerance_band"),
+            ({"target_scrap": 0.0}, "target_scrap must lie in (0, 1), got 0.0"),
+            ({"target_scrap": 1.0}, "target_scrap must lie in (0, 1), got 1.0"),
+            ({"target_scrap": math.nan}, "target_scrap must lie in (0, 1), got nan"),
+            ({"target_scrap": 0.01, "n_per_iteration": 0}, "n_per_iteration must be >= 1, got 0"),
+            ({"target_scrap": 0.01, "seed": -1}, "seed must be an unsigned 64-bit integer, got -1"),
+            ({"target_scrap": 0.01, "seed": 2**64}, f"seed must be an unsigned 64-bit integer, got {2**64}"),
+            ({"target_scrap": 0.01, "max_iterations": 0}, "max_iterations must be >= 1, got 0"),
+            ({"target_scrap": 0.01, "max_iterations": np.int64(0)}, "max_iterations must be >= 1, got np.int64(0)"),
+            ({"target_scrap": 0.01, "adjustment_factor": 0.0}, "adjustment_factor must lie in (0, 1), got 0.0"),
+            ({"target_scrap": 0.01, "adjustment_factor": 1.0}, "adjustment_factor must lie in (0, 1), got 1.0"),
+            ({"target_scrap": 0.01, "adjustment_factor": math.nan}, "adjustment_factor must lie in (0, 1), got nan"),
+            ({"target_scrap": 0.01, "tolerance_band": -0.1}, "tolerance_band must be finite and >= 0, got -0.1"),
+            ({"target_scrap": 0.01, "tolerance_band": math.inf}, "tolerance_band must be finite and >= 0, got inf"),
+            ({"target_scrap": 0.01, "tolerance_band": math.nan}, "tolerance_band must be finite and >= 0, got nan"),
         ],
     )
-    def test_rejects_bad_values(self, kwargs, match):
-        with pytest.raises(ValueError, match=match):
+    def test_rejects_bad_values(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SynthesisConfig(**kwargs)
+
+    def test_the_first_bad_field_is_blamed(self):
+        # Fields are checked in declaration order, frozen last.
+        bad = {"target_scrap": 0.0, "n_per_iteration": 0, "seed": -1, "max_iterations": 0,
+               "adjustment_factor": 0.0, "tolerance_band": -0.1, "frozen": "a1"}
+        for name in list(bad):
+            with pytest.raises(ValueError, match=f"^{name}"):
+                SynthesisConfig(**bad)
+            del bad[name]
+            if "target_scrap" not in bad:
+                bad["target_scrap"] = 0.01
 
     def test_frozen_names_coerced_to_frozenset(self):
         cfg = SynthesisConfig(target_scrap=0.01, frozen=["a", "b"])
