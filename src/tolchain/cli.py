@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from . import __version__
-from .model import SAMPLING_RULES, ChainSyntaxError, ChainValidationError, ConformityStatus, check, parse_chain
+from .model import DEFAULTS, ChainSyntaxError, ChainValidationError, ConformityStatus, check, parse_chain
 from .worstcase import InfeasibleToleranceError, it_budget, solve_unknown, verify_worst_case, worst_case
 
 __all__ = ["RunConfig", "build_parser", "main", "run"]
@@ -43,14 +43,14 @@ class RunConfig:
     chain: Path
     output: Path | None = None
     format: str = "json"
-    samples: int = 100_000
-    seed: int = 1
+    samples: int = DEFAULTS["samples"]
+    seed: int = DEFAULTS["seed"]
     sigma_rule: str = "it6"
-    coverage_sigmas: float = 3.0
-    target_scrap: float | None = None
+    coverage_sigmas: float = DEFAULTS["coverage_sigmas"]
+    target_scrap: float | None = DEFAULTS["target_scrap"]
     unknown: str | None = None
-    bins: int = 50
-    workers: int = 1
+    bins: int = DEFAULTS["bins"]
+    workers: int = DEFAULTS["workers"]
 
 
 # Spelling and parser settings of each flag, keyed by its RunConfig field.
@@ -186,7 +186,7 @@ def run(cfg: RunConfig) -> int:
     """
     # Flags first: a bad flag is blamed, as it was spelled, before the chain is read.
     for dest in _COMMANDS[cfg.command][1]:
-        if dest in SAMPLING_RULES:
+        if dest in DEFAULTS:
             check(dest, getattr(cfg, dest), f"{_FLAGS[dest][0]}: ")
 
     raw = cfg.chain.read_bytes()

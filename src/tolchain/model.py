@@ -68,21 +68,26 @@ def _checked_name(value: Any, what: str) -> str:
 # Seeds key the Philox streams of the Monte Carlo layer, one 64-bit word each.
 MAX_SEED = 2**64
 
-# What each sampling parameter must satisfy, keyed by its RunConfig field, and the error's text for a value
-# that does not: a count is quoted with str, the seed and the fractions with repr.
-SAMPLING_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
-    "samples": (lambda n: n >= 1, "sample count must be >= 1, got {}"),
-    "seed": (lambda seed: 0 <= seed < MAX_SEED, "seed must be an unsigned 64-bit integer, got {!r}"),
-    "workers": (lambda workers: workers >= 1, "workers must be >= 1, got {}"),
-    "coverage_sigmas": (lambda c: math.isfinite(c) and c > 0.0, "coverage_sigmas must be finite and > 0, got {!r}"),
-    "bins": (lambda bins: bins >= 1, "bin count must be >= 1, got {}"),
-    "target_scrap": (lambda p: 0.0 < p < 1.0, "target_scrap must lie in (0, 1), got {!r}"),
+# Each sampling and synthesis parameter's default (None where a caller must give one), what it must satisfy, and
+# the error's text for a value that does not: a count is quoted with str, the seed and the fractions with repr.
+# Keyed by its RunConfig or SynthesisConfig field; every default and check of these parameters reads it.
+SAMPLING_RULES: dict[str, tuple[Any, Callable[[Any], bool], str]] = {
+    "samples": (100_000, lambda n: n >= 1, "sample count must be >= 1, got {}"),
+    "seed": (1, lambda seed: 0 <= seed < MAX_SEED, "seed must be an unsigned 64-bit integer, got {!r}"),
+    "workers": (1, lambda workers: workers >= 1, "workers must be >= 1, got {}"),
+    "coverage_sigmas": (3.0, lambda c: 0.0 < c < math.inf, "coverage_sigmas must be finite and > 0, got {!r}"),
+    "bins": (50, lambda bins: bins >= 1, "bin count must be >= 1, got {}"),
+    "target_scrap": (None, lambda p: 0.0 < p < 1.0, "target_scrap must lie in (0, 1), got {!r}"),
+    "max_iterations": (50, lambda n: n >= 1, "max_iterations must be >= 1, got {!r}"),
+    "adjustment_factor": (0.1, lambda f: 0.0 < f < 1.0, "adjustment_factor must lie in (0, 1), got {!r}"),
+    "tolerance_band": (0.25, lambda b: 0.0 <= b < math.inf, "tolerance_band must be finite and >= 0, got {!r}"),
 }
+DEFAULTS = {name: default for name, (default, _, _) in SAMPLING_RULES.items()}
 
 
 def check(name: str, value: Any, prefix: str = "") -> None:
     """Raise ``ValueError``, its message led by ``prefix``, unless ``value`` meets the rule of parameter ``name``."""
-    valid, message = SAMPLING_RULES[name]
+    _, valid, message = SAMPLING_RULES[name]
     if not valid(value):
         raise ValueError(prefix + message.format(value))
 

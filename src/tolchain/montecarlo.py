@@ -25,6 +25,7 @@ from numpy.random import Philox
 from scipy.special import ndtr, ndtri
 
 from .model import (
+    DEFAULTS,
     DimensionSpec,
     FunctionalCondition,
     IntervalResult,
@@ -212,7 +213,7 @@ class _Columns(Mapping[str, np.ndarray]):
 
 
 def sample_chain(
-    chain: ToleranceChain, rule: SigmaRule, n: int, seed: int, *, workers: int = 1
+    chain: ToleranceChain, rule: SigmaRule, n: int, seed: int, *, workers: int = DEFAULTS["workers"]
 ) -> SampleBatch:
     """Draw ``n`` independent realizations of every dimension and of the condition.
 
@@ -289,7 +290,9 @@ def _fc_samples(chain: ToleranceChain, rule: SigmaRule, n: int, seed: int, size:
     return fc
 
 
-def statistical_interval(samples: Sequence[float] | np.ndarray, coverage_sigmas: float = 3.0) -> IntervalResult:
+def statistical_interval(
+    samples: Sequence[float] | np.ndarray, coverage_sigmas: float = DEFAULTS["coverage_sigmas"]
+) -> IntervalResult:
     """Mean +/- ``coverage_sigmas`` sample standard deviations.
 
     The standard deviation uses the n-1 denominator; a single sample has
@@ -422,7 +425,7 @@ def _samples_csv_blocks(batch: SampleBatch) -> Iterator[str]:
         yield samples_csv(batch, start, start + _EXPORT_ROWS)
 
 
-def histogram_csv(samples: Sequence[float] | np.ndarray, bins: int = 50) -> str:
+def histogram_csv(samples: Sequence[float] | np.ndarray, bins: int = DEFAULTS["bins"]) -> str:
     """Binned counts of the samples as CSV rows ``bin_lower,bin_upper,count``."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
@@ -441,7 +444,7 @@ def histogram_csv(samples: Sequence[float] | np.ndarray, bins: int = 50) -> str:
 
 
 def batch_summary(
-    chain: ToleranceChain, batch: SampleBatch, rule: SigmaRule, coverage_sigmas: float = 3.0
+    chain: ToleranceChain, batch: SampleBatch, rule: SigmaRule, coverage_sigmas: float = DEFAULTS["coverage_sigmas"]
 ) -> dict[str, Any]:
     """Summary statistics of a batch as a plain dict (JSON-ready).
 

@@ -10,12 +10,11 @@ zone centers never move.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Any
 
-from .model import MAX_SEED, DimensionSpec, ToleranceChain, chain_document, check, respecify
+from .model import DEFAULTS, MAX_SEED, DimensionSpec, ToleranceChain, chain_document, check, respecify
 from .montecarlo import ScrapReport, SigmaRule, _chunk_jobs, _fc_samples, analytic_scrap, scrap_rate
 
 __all__ = [
@@ -46,24 +45,18 @@ class SynthesisConfig:
     """
 
     target_scrap: float
-    n_per_iteration: int = 100_000
-    seed: int = 1
-    max_iterations: int = 50
-    adjustment_factor: float = 0.1
-    tolerance_band: float = 0.25
+    n_per_iteration: int = DEFAULTS["samples"]
+    seed: int = DEFAULTS["seed"]
+    max_iterations: int = DEFAULTS["max_iterations"]
+    adjustment_factor: float = DEFAULTS["adjustment_factor"]
+    tolerance_band: float = DEFAULTS["tolerance_band"]
     frozen: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         check("target_scrap", self.target_scrap)
-        if self.n_per_iteration < 1:
-            raise ValueError(f"n_per_iteration must be >= 1, got {self.n_per_iteration!r}")
-        check("seed", self.seed)
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if not (0.0 < self.adjustment_factor < 1.0):
-            raise ValueError(f"adjustment_factor must lie in (0, 1), got {self.adjustment_factor!r}")
-        if not (self.tolerance_band >= 0.0 and math.isfinite(self.tolerance_band)):
-            raise ValueError(f"tolerance_band must be finite and >= 0, got {self.tolerance_band!r}")
+        check("samples", self.n_per_iteration, "n_per_iteration: ")
+        for name in ("seed", "max_iterations", "adjustment_factor", "tolerance_band"):
+            check(name, getattr(self, name))
         if isinstance(self.frozen, str):
             raise ValueError(f"frozen must be a collection of dimension names, not the string {self.frozen!r}")
         object.__setattr__(self, "frozen", frozenset(self.frozen))
@@ -131,7 +124,7 @@ def _decide(
 
 
 def synthesize(
-    chain: ToleranceChain, rule: SigmaRule, cfg: SynthesisConfig, *, workers: int = 1
+    chain: ToleranceChain, rule: SigmaRule, cfg: SynthesisConfig, *, workers: int = DEFAULTS["workers"]
 ) -> SynthesisReport:
     """Adjust tolerances until the scrap rate meets the target band.
 

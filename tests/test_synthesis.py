@@ -348,7 +348,7 @@ class TestSynthesisConfig:
             ({"target_scrap": 0.0}, "target_scrap must lie in (0, 1), got 0.0"),
             ({"target_scrap": 1.0}, "target_scrap must lie in (0, 1), got 1.0"),
             ({"target_scrap": math.nan}, "target_scrap must lie in (0, 1), got nan"),
-            ({"target_scrap": 0.01, "n_per_iteration": 0}, "n_per_iteration must be >= 1, got 0"),
+            ({"target_scrap": 0.01, "n_per_iteration": 0}, "n_per_iteration: sample count must be >= 1, got 0"),
             ({"target_scrap": 0.01, "seed": -1}, "seed must be an unsigned 64-bit integer, got -1"),
             ({"target_scrap": 0.01, "seed": 2**64}, f"seed must be an unsigned 64-bit integer, got {2**64}"),
             ({"target_scrap": 0.01, "max_iterations": 0}, "max_iterations must be >= 1, got 0"),
