@@ -86,8 +86,13 @@ DEFAULTS = {name: default for name, (default, _, _) in SAMPLING_RULES.items()}
 
 
 def check(name: str, value: Any, prefix: str = "") -> None:
-    """Raise ``ValueError``, its message led by ``prefix``, unless ``value`` meets the rule of parameter ``name``."""
-    _, valid, message = SAMPLING_RULES[name]
+    """Raise ``ValueError``, its message led by ``prefix``, unless ``value`` meets the rule of parameter ``name``.
+
+    A parameter whose default is an int takes only integers: numpy's pass, a bool does not.
+    """
+    default, valid, message = SAMPLING_RULES[name]
+    if isinstance(default, int) and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(prefix + message.split(" must ")[0] + f" must be an integer, got {value!r}")
     if not valid(value):
         raise ValueError(prefix + message.format(value))
 

@@ -154,7 +154,7 @@ def synthesize(
     records: list[IterationRecord] = []
     with _chunk_jobs(cfg.n_per_iteration, workers) as (size, run):
         for k in range(cfg.max_iterations):
-            fc = _fc_samples(current, rule, cfg.n_per_iteration, (cfg.seed + k) % MAX_SEED, size, run)
+            fc = _fc_samples(current, rule, cfg.n_per_iteration, (int(cfg.seed) + k) % MAX_SEED, size, run)
             report = scrap_rate(fc, condition)
             effective, source = report.scrap_rate, "estimate"
             if report.scrap_rate == 0.0 and cfg.target_scrap <= 3.0 / cfg.n_per_iteration:

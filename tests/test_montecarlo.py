@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import asdict, replace
@@ -232,6 +233,31 @@ class TestSampleChain:
             sample_chain(actuator_chain, IT6, 10, 2**64)
         with pytest.raises(ValueError, match="workers"):
             sample_chain(actuator_chain, IT6, 10, 1, workers=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n": 1e4}, "sample count must be an integer, got 10000.0"),
+            ({"n": np.float64(8.0)}, "sample count must be an integer, got np.float64(8.0)"),
+            ({"n": True}, "sample count must be an integer, got True"),
+            ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+            ({"seed": False}, "seed must be an integer, got False"),
+            ({"workers": 2.0}, "workers must be an integer, got 2.0"),
+        ],
+        ids=["n-float", "n-numpy-float", "n-bool", "seed-float", "seed-bool", "workers-float"],
+    )
+    def test_count_that_is_not_an_integer_is_blamed(self, actuator_chain, kwargs, message, monkeypatch):
+        # Before anything is drawn, and not by numpy.
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_normal_chunk", lambda *args: drawn.append(args))
+        args = {"n": 8, "seed": 1, **kwargs}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_chain(actuator_chain, IT6, args.pop("n"), args.pop("seed"), **args)
+        assert drawn == []
+
+    def test_numpy_integers_are_counts(self, actuator_chain):
+        batch = sample_chain(actuator_chain, IT6, np.int64(8), np.uint64(3), workers=np.int32(2))
+        assert np.array_equal(batch.fc_samples, sample_chain(actuator_chain, IT6, 8, 3).fc_samples)
 
     @pytest.mark.parametrize(
         "bad, blamed",
@@ -601,6 +627,11 @@ class TestExports:
             histogram_csv([], bins=10)
         with pytest.raises(ValueError, match="bin count"):
             histogram_csv([1.0], bins=0)
+        with pytest.raises(ValueError, match=r"^bin count must be an integer, got 2\.0$"):
+            histogram_csv([1.0, 2.0], bins=2.0)
+        with pytest.raises(ValueError, match=r"^bin count must be an integer, got True$"):
+            histogram_csv([1.0, 2.0], bins=True)
+        assert histogram_csv([1.0, 2.0], bins=np.int64(2)) == histogram_csv([1.0, 2.0], bins=2)
 
     @pytest.mark.parametrize(
         "samples, bounds",

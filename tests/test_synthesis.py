@@ -4,6 +4,7 @@ import json
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -364,6 +365,26 @@ class TestSynthesisConfig:
     def test_rejects_bad_values(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SynthesisConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_per_iteration": 1e4}, "n_per_iteration: sample count must be an integer, got 10000.0"),
+            ({"n_per_iteration": True}, "n_per_iteration: sample count must be an integer, got True"),
+            ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+            ({"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
+            ({"max_iterations": np.float64(3.0)}, "max_iterations must be an integer, got np.float64(3.0)"),
+        ],
+    )
+    def test_count_that_is_not_an_integer_is_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SynthesisConfig(target_scrap=0.01, **kwargs)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(MAX_SEED - 1)], ids=["int64", "uint64-wraps"])
+    def test_numpy_integers_are_counts(self, actuator_chain, seed):
+        plain = SynthesisConfig(target_scrap=0.05, n_per_iteration=2000, seed=int(seed), max_iterations=2)
+        numpy_counts = replace(plain, n_per_iteration=np.int64(2000), seed=seed, max_iterations=np.int64(2))
+        assert synthesize(actuator_chain, IT6, numpy_counts) == synthesize(actuator_chain, IT6, plain)
 
     def test_the_first_bad_field_is_blamed(self):
         # Fields are checked in declaration order, frozen last.
