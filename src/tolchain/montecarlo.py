@@ -146,7 +146,11 @@ def propagate_analytic(chain: ToleranceChain, rule: SigmaRule) -> DistributionPa
         params = derive_distribution(d, rule)
         mean += d.coefficient * params.mean
         variance += d.coefficient * d.coefficient * params.sigma * params.sigma
-    return DistributionParams(mean=mean, sigma=math.sqrt(variance))
+    try:
+        return DistributionParams(mean=mean, sigma=math.sqrt(variance))
+    except ValueError as exc:  # a sum or a square that overflows, though each dimension's moments are finite
+        name = chain.condition.name if chain.condition is not None else "fc"
+        raise ValueError(f"condition {name!r}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -647,6 +647,14 @@ class TestErrorPaths:
         assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
         assert "coverage" not in proc.stderr and "Warning" not in proc.stderr
 
+    def test_overflowing_analytic_sigma_names_the_condition(self, tmp_path, capsys):
+        # One sample has a finite mean and stdev; the propagated variance, (1e155/3)**2, overflows.
+        doc = {"name": "big", "condition": {"name": "J", "min": -1e300, "max": 1e300}, "dimensions": [
+            {"name": "a", "nominal": 0.0, "upper_dev": 1e155, "lower_dev": -1e155, "coefficient": 1.0}]}
+        path = write_chain(tmp_path, doc)
+        code, out, err = run_cli(["simulate", "--samples", "1", "--chain", str(path)], capsys)
+        assert (code, out, err) == (2, "", "tolchain: condition 'J': distribution parameters must be finite\n")
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -165,6 +165,18 @@ class TestPropagateAnalytic:
         params = propagate_analytic(ToleranceChain("w", dims), IT6)
         assert params.sigma == pytest.approx(3.0 * 0.1, rel=1e-14)
 
+    @pytest.mark.parametrize("condition, name", [(FunctionalCondition("J", -1e300, 1e300), "J"), (None, "fc")])
+    def test_overflowing_variance_names_the_condition(self, condition, name):
+        # a's sigma, 1e155/3, is finite, but its square is not.
+        chain = ToleranceChain("big", (DimensionSpec("a", 0.0, 1e155, -1e155, 1.0),), condition)
+        assert math.isfinite(derive_distribution(chain.dimensions[0], IT6).sigma)
+        message = f"^condition '{name}': distribution parameters must be finite$"
+        with pytest.raises(ValueError, match=message):
+            propagate_analytic(chain, IT6)
+        if condition is not None:
+            with pytest.raises(ValueError, match=message):
+                analytic_scrap(chain, IT6)
+
 
 class TestSampleChain:
     def test_moments_match_propagation(self, actuator_chain):
