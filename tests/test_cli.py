@@ -2,7 +2,9 @@
 
 import copy
 import csv
+import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -19,8 +21,8 @@ import pytest
 from conftest import ACTUATOR_DOC, make_actuator_chain, traced_peak
 import tolchain
 from tolchain import SigmaRule, SynthesisConfig, histogram_csv, montecarlo, parse_chain, sample_chain
-from tolchain import statistical_interval
-from tolchain.cli import main
+from tolchain import batch_summary, statistical_interval, synthesize
+from tolchain.cli import RunConfig, main
 
 # The library call that checks each sampling flag's value.
 LIBRARY_ENTRY_POINTS = {
@@ -477,6 +479,27 @@ def test_default_config_block(chain_file, capsys, argv, config):
     code, out, _ = run_cli([*argv, "--chain", str(chain_file)], capsys)
     assert code == 0
     assert list(json.loads(out)["config"].items()) == list(config.items())
+
+
+@pytest.mark.parametrize(
+    "field, entry_point, parameter",
+    [
+        ("samples", SynthesisConfig, "n_per_iteration"),
+        ("seed", SynthesisConfig, "seed"),
+        ("workers", sample_chain, "workers"),
+        ("workers", synthesize, "workers"),
+        ("coverage_sigmas", statistical_interval, "coverage_sigmas"),
+        ("coverage_sigmas", batch_summary, "coverage_sigmas"),
+        ("bins", histogram_csv, "bins"),
+    ],
+    ids=["samples", "seed", "workers-sample_chain", "workers-synthesize", "coverage-statistical_interval",
+         "coverage-batch_summary", "bins"],
+)
+def test_cli_and_library_share_their_defaults(field, entry_point, parameter):
+    # A library call left at its defaults reproduces the CLI's run.
+    cli_default = next(f.default for f in dataclasses.fields(RunConfig) if f.name == field)
+    library_default = inspect.signature(entry_point).parameters[parameter].default
+    assert (type(library_default), library_default) == (type(cli_default), cli_default)
 
 
 class TestErrorPaths:
