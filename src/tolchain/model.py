@@ -69,7 +69,8 @@ def _checked_name(value: Any, what: str) -> str:
 MAX_SEED = 2**64
 
 # Each sampling and synthesis parameter's default (None where a caller must give one), what it must satisfy, and
-# the error's text for a value that does not: a count is quoted with str, the seed and the fractions with repr.
+# the error's text for a value that does not, quoted with str for the sample, worker and bin counts, else with repr.
+# A parameter whose default is an int takes only integers: numpy's pass, a bool does not.
 # Keyed by its RunConfig or SynthesisConfig field; every default and check of these parameters reads it.
 SAMPLING_RULES: dict[str, tuple[Any, Callable[[Any], bool], str]] = {
     "samples": (100_000, lambda n: n >= 1, "sample count must be >= 1, got {}"),
@@ -86,10 +87,7 @@ DEFAULTS = {name: default for name, (default, _, _) in SAMPLING_RULES.items()}
 
 
 def check(name: str, value: Any, prefix: str = "") -> None:
-    """Raise ``ValueError``, its message led by ``prefix``, unless ``value`` meets the rule of parameter ``name``.
-
-    A parameter whose default is an int takes only integers: numpy's pass, a bool does not.
-    """
+    """Raise ``ValueError``, its message led by ``prefix``, unless ``value`` meets the rule of parameter ``name``."""
     default, valid, message = SAMPLING_RULES[name]
     if isinstance(default, int) and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(prefix + message.split(" must ")[0] + f" must be an integer, got {value!r}")
