@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
@@ -24,6 +23,16 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable
+
+# CPython's own SHA-256: importing hashlib loads OpenSSL's libcrypto, about 4 MB
+# of resident memory, and the worst-case commands hash nothing else.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .model import DEFAULTS, ChainSyntaxError, ChainValidationError, ConformityStatus, check, parse_chain
@@ -63,7 +72,8 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "sigma_rule": ("--sigma-rule", {"choices": ("it6", "it3"),
                                     "help": "tolerance-to-sigma mapping (IT/6 or IT/3)"}),
     "workers": ("--workers", {"type": int,
-                              "help": "threads for sample generation, capped at the core count "
+                              "help": "threads for sample generation, by default and at most the usable cores; "
+                                      "1 draws in the calling thread, as inside a process pool of your own "
                                       "(output is identical for any count)"}),
     "unknown": ("--unknown", {"required": True, "help": "name of the dimension to solve for"}),
     "coverage_sigmas": ("--coverage", {"type": float, "metavar": "COVERAGE",
@@ -197,7 +207,7 @@ def run(cfg: RunConfig) -> int:
         "version": __version__,
         "command": cfg.command,
         "chain_file": str(cfg.chain),
-        "chain_sha256": hashlib.sha256(raw).hexdigest(),
+        "chain_sha256": sha256(raw).hexdigest(),
         "chain_name": chain.name,
         "config": _config_block(cfg),
     }

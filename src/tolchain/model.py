@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Mapping
@@ -68,14 +69,20 @@ def _checked_name(value: Any, what: str) -> str:
 # Seeds key the Philox streams of the Monte Carlo layer, one 64-bit word each.
 MAX_SEED = 2**64
 
+
+def usable_cores() -> int:
+    """The cores this process may run on: the default worker count and the cap of the sampling pool."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 # Each sampling and synthesis parameter's default (None where a caller must give one), what it must satisfy, and
 # the error's text for a value that does not, quoted with str for the sample, worker and bin counts, else with repr.
-# A parameter whose default is an int takes only integers: numpy's pass, a bool does not.
+# A parameter whose default is an int takes only integers, any other only real numbers: numpy's pass, a bool does not.
 # Keyed by its RunConfig or SynthesisConfig field; every default and check of these parameters reads it.
 SAMPLING_RULES: dict[str, tuple[Any, Callable[[Any], bool], str]] = {
     "samples": (100_000, lambda n: n >= 1, "sample count must be >= 1, got {}"),
     "seed": (1, lambda seed: 0 <= seed < MAX_SEED, "seed must be an unsigned 64-bit integer, got {!r}"),
-    "workers": (1, lambda workers: workers >= 1, "workers must be >= 1, got {}"),
+    "workers": (usable_cores(), lambda workers: workers >= 1, "workers must be >= 1, got {}"),
     "coverage_sigmas": (3.0, lambda c: 0.0 < c < math.inf, "coverage_sigmas must be finite and > 0, got {!r}"),
     "bins": (50, lambda bins: bins >= 1, "bin count must be >= 1, got {}"),
     "target_scrap": (None, lambda p: 0.0 < p < 1.0, "target_scrap must lie in (0, 1), got {!r}"),
@@ -89,8 +96,9 @@ DEFAULTS = {name: default for name, (default, _, _) in SAMPLING_RULES.items()}
 def check(name: str, value: Any, prefix: str = "") -> None:
     """Raise ``ValueError``, its message led by ``prefix``, unless ``value`` meets the rule of parameter ``name``."""
     default, valid, message = SAMPLING_RULES[name]
-    if isinstance(default, int) and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise ValueError(prefix + message.split(" must ")[0] + f" must be an integer, got {value!r}")
+    kind, wanted = (numbers.Integral, "an integer") if isinstance(default, int) else (numbers.Real, "a real number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(prefix + message.split(" must ")[0] + f" must be {wanted}, got {value!r}")
     if not valid(value):
         raise ValueError(prefix + message.format(value))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -31,6 +30,7 @@ from .model import (
     IntervalResult,
     ToleranceChain,
     check,
+    usable_cores,
 )
 from .worstcase import worst_case
 
@@ -234,7 +234,7 @@ def sample_chain(
         rule: tolerance-to-sigma mapping for every dimension.
         n: number of realizations, >= 1.
         seed: 64-bit unsigned stream selector.
-        workers: thread count for chunk evaluation (>= 1), capped at the core count.
+        workers: thread count for chunk evaluation (>= 1), capped at and by default the usable cores.
     """
     check("samples", n)
     check("seed", seed)
@@ -256,9 +256,9 @@ def sample_chain(
 @contextmanager
 def _chunk_jobs(n: int, workers: int) -> Iterator[tuple[int, Callable]]:
     """``(size, map)`` for jobs over ``n`` rows: equal chunks of at most _CHUNK rows, each a multiple of 4, in a
-    multiple of the thread count, run on a pool capped at the core count, or in the caller at 1 worker."""
+    multiple of the thread count, run on a pool capped at the usable cores, or in the caller at 1 worker."""
     check("workers", workers)
-    threads = min(workers, os.cpu_count() or 1)
+    threads = min(workers, usable_cores())
     chunks = -(-n // _CHUNK)
     chunks += -chunks % threads
     pool = ThreadPoolExecutor(max_workers=threads) if workers > 1 else None

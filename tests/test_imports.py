@@ -1,5 +1,6 @@
-"""Import graph: the worst-case path stays free of the sampling stack."""
+"""Import graph: the worst-case path stays free of the sampling stack and of OpenSSL."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,21 +12,24 @@ import pytest
 import tolchain
 from tolchain import model, montecarlo, synthesis, worstcase
 
-# Runs one CLI call in a fresh interpreter and prints which of numpy and
-# scipy it loaded.
+# Runs one CLI call in a fresh interpreter and prints which of numpy, scipy
+# and OpenSSL's hashlib backend the call loaded. Modules loaded before the
+# call, say by a site hook, do not count.
 _PROBE = """
-import json, sys
+import sys; before = set(sys.modules)
+import json
 from tolchain.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "loaded": [m for m in ("numpy", "scipy") if m in sys.modules]}))
+added = set(sys.modules) - before
+print(json.dumps({"code": code, "loaded": [m for m in ("numpy", "scipy", "_hashlib") if m in added]}))
 """
 
 
-def _probe(argv):
+def _run(script, argv=()):
     src = str(Path(tolchain.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -37,22 +41,35 @@ def _probe(argv):
         (["analyze"], []),
         (["verify"], []),
         (["solve", "--unknown", "a1"], []),
-        (["simulate", "--samples", "100"], ["numpy", "scipy"]),
+        # numpy.random loads OpenSSL through secrets and hmac.
+        (["simulate", "--samples", "100"], ["numpy", "scipy", "_hashlib"]),
     ],
     ids=["analyze", "verify", "solve", "simulate"],
 )
-def test_only_sampling_commands_load_numpy_and_scipy(actuator_file, tmp_path, argv, loaded):
-    result = _probe([*argv, "--chain", str(actuator_file), "--output", str(tmp_path / "r.json")])
+def test_only_sampling_commands_load_numpy_scipy_and_openssl(actuator_file, tmp_path, argv, loaded):
+    result = _run(_PROBE, [*argv, "--chain", str(actuator_file), "--output", str(tmp_path / "r.json")])
     assert result == {"code": 0, "loaded": loaded}
 
 
+def test_chain_hash_falls_back_to_hashlib(actuator_file, tmp_path):
+    # An interpreter built without CPython's own SHA-256 modules.
+    script = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from tolchain.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "openssl": "_hashlib" in sys.modules}))
+"""
+    report = tmp_path / "r.json"
+    result = _run(script, ["analyze", "--chain", str(actuator_file), "--output", str(report)])
+    assert result == {"code": 0, "openssl": True}
+    expected = hashlib.sha256(actuator_file.read_bytes()).hexdigest()
+    assert json.loads(report.read_text())["chain_sha256"] == expected
+
+
 def test_respecify_and_worst_case_load_no_sampling_stack():
-    src = str(Path(tolchain.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = "import json, sys\nfrom tolchain import respecify, worst_case\nprint(json.dumps(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert not {"numpy", "scipy"} & set(json.loads(proc.stdout))
+    assert not {"numpy", "scipy"} & set(_run(script))
 
 
 def test_public_names_come_from_the_submodules():

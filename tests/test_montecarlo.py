@@ -1,5 +1,6 @@
 """Monte Carlo engine: distributions, sampling, statistics, scrap, exports."""
 
+import inspect
 import math
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 
 from conftest import traced_peak
 from oracles import recompute_fc, reference_samples_csv
-from tolchain import montecarlo
+from tolchain import model, montecarlo
 from tolchain import (
     ChainValidationError,
     DimensionSpec,
@@ -320,7 +321,7 @@ class TestSampleChain:
         assert np.array_equal(sample_chain(actuator_chain, IT6, 300_001, 5).fc_samples, batch.fc_samples)
         assert fc.tobytes() == batch.fc_samples.tobytes()
 
-    @pytest.mark.parametrize("cores, threads", [(None, 1), (2, 2), (4, 4)])
+    @pytest.mark.parametrize("cores, threads", [(1, 1), (2, 2), (4, 4)])
     def test_pool_is_capped_at_the_core_count(self, actuator_chain, monkeypatch, cores, threads):
         pools = []
         mapped = []
@@ -340,13 +341,29 @@ class TestSampleChain:
                 pass
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(montecarlo, "usable_cores", lambda: cores)
         # 1000 workers are planned as the capped thread count: 1e5 samples need
         # two chunks of at most 65536, rounded up to a multiple of the threads.
         batch = sample_chain(actuator_chain, IT6, 100_000, 7, workers=1000)
         assert pools == [threads]
         assert mapped == [max(2, threads)] * len(actuator_chain.dimensions)
         assert batch.fc_samples.tobytes() == sample_chain(actuator_chain, IT6, 100_000, 7).fc_samples.tobytes()
+
+    @pytest.mark.parametrize(
+        "affinity, cores, usable",
+        [({0, 3}, 8, 2), (None, 3, 3), (None, None, 1)],
+        ids=["affinity", "no-affinity", "unknown"],
+    )
+    def test_usable_cores(self, monkeypatch, affinity, cores, usable):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert model.usable_cores() == usable
+
+    def test_workers_default_to_the_usable_cores(self):
+        assert inspect.signature(sample_chain).parameters["workers"].default == model.usable_cores()
 
     @pytest.mark.parametrize("n", [1, 2, 5, 4097, 65_541, 70_000])
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -455,6 +472,16 @@ class TestStatisticalInterval:
             statistical_interval([])
         with pytest.raises(ValueError, match="coverage"):
             statistical_interval([1.0], 0.0)
+
+    @pytest.mark.parametrize("coverage", [True, "3", None], ids=["bool", "str", "none"])
+    def test_coverage_that_is_not_a_real_number_is_blamed(self, coverage):
+        message = f"coverage_sigmas must be a real number, got {coverage!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            statistical_interval([1.0, 2.0], coverage)
+
+    def test_integer_and_numpy_coverages_are_real_numbers(self):
+        expected = statistical_interval([1.0, 2.0], 3.0)
+        assert statistical_interval([1.0, 2.0], 3) == statistical_interval([1.0, 2.0], np.float64(3.0)) == expected
 
     @pytest.mark.parametrize("samples", [[1.0, 2.0], [1.0, 1.0]], ids=["spread", "constant"])
     def test_infinite_coverage_is_blamed(self, samples):

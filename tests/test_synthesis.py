@@ -360,6 +360,12 @@ class TestSynthesisConfig:
             ({"target_scrap": 0.01, "tolerance_band": -0.1}, "tolerance_band must be finite and >= 0, got -0.1"),
             ({"target_scrap": 0.01, "tolerance_band": math.inf}, "tolerance_band must be finite and >= 0, got inf"),
             ({"target_scrap": 0.01, "tolerance_band": math.nan}, "tolerance_band must be finite and >= 0, got nan"),
+            ({"target_scrap": "0.1"}, "target_scrap must be a real number, got '0.1'"),
+            ({"target_scrap": True}, "target_scrap must be a real number, got True"),
+            ({"target_scrap": None}, "target_scrap must be a real number, got None"),
+            ({"target_scrap": 0.01, "adjustment_factor": "0.1"}, "adjustment_factor must be a real number, got '0.1'"),
+            ({"target_scrap": 0.01, "tolerance_band": True}, "tolerance_band must be a real number, got True"),
+            ({"target_scrap": 0.01, "tolerance_band": [0.25]}, "tolerance_band must be a real number, got [0.25]"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, message):
@@ -379,6 +385,10 @@ class TestSynthesisConfig:
     def test_count_that_is_not_an_integer_is_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SynthesisConfig(target_scrap=0.01, **kwargs)
+
+    def test_numpy_and_integer_fractions_are_accepted(self):
+        cfg = SynthesisConfig(target_scrap=np.float64(0.01), adjustment_factor=np.float32(0.5), tolerance_band=0)
+        assert (cfg.target_scrap, cfg.adjustment_factor, cfg.tolerance_band) == (0.01, 0.5, 0)
 
     @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(MAX_SEED - 1)], ids=["int64", "uint64-wraps"])
     def test_numpy_integers_are_counts(self, actuator_chain, seed):
