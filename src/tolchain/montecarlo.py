@@ -16,11 +16,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 from scipy.special import ndtr, ndtri
 
 from .model import (
@@ -174,21 +174,33 @@ class SampleBatch:
     fc_name: str
 
 
+def _stream(seed: int, index: int, start: int) -> Philox:
+    """Philox stream ``index`` from word ``start``, a multiple of 4."""
+    return Philox(counter=start // 4, key=np.array([seed, index], dtype=np.uint64))
+
+
+def _to_normal(uniforms: np.ndarray, sigma: float | np.ndarray, mean: float | np.ndarray) -> np.ndarray:
+    """The normal draws of ``uniforms``, each word's top 53 bits times 2**-53, in place. ``sigma`` and ``mean``
+    are numbers or, for the rows of ``uniforms``, columns."""
+    # Capped at 1 - 2**-52 and centered, the uniform lies in [2**-54, 1 - 2**-52],
+    # so the inverse CDF below stays finite. (Uncapped, the top word's
+    # 1 - 2**-53 + 2**-54 would round to 1.) With top the word's top 53 bits,
+    # this rounds as mean + sigma * ndtri((top + 0.5) * 2**-53).
+    np.minimum(uniforms, 1.0 - 2.0**-52, out=uniforms)
+    uniforms += 2.0**-54
+    ndtri(uniforms, out=uniforms)
+    uniforms *= sigma
+    uniforms += mean
+    return uniforms
+
+
 def _normal_chunk(seed: int, index: int, params: DistributionParams, start: int, out: np.ndarray) -> np.ndarray:
     """Fills ``out`` with draws [start, start+out.size) of stream ``index``. ``start`` must be a multiple of 4."""
-    key = np.array([seed, index], dtype=np.uint64)
-    bits = Philox(counter=start // 4, key=key).random_raw(out.size)
-    # Top 53 bits, centered on the open interval (0, 1): never 0 or 1, so the
-    # inverse CDF below stays finite. In place, with the rounding of
-    # mean + sigma * ndtri((top + 0.5) * 2**-53).
+    bits = _stream(seed, index, start).random_raw(out.size)
     bits >>= np.uint64(11)
     out[...] = bits
-    out += 0.5
     out *= 2.0**-53
-    ndtri(out, out=out)
-    out *= params.sigma
-    out += params.mean
-    return out
+    return _to_normal(out, params.sigma, params.mean)
 
 
 class _Columns(Mapping[str, np.ndarray]):
@@ -244,7 +256,7 @@ def sample_chain(
         buf = np.empty(n, dtype=np.float64)
         moments: dict[str, tuple[float, float]] = {}
         for name, stream in streams.items():
-            list(run(partial(_add_draws, fc, seed, [stream], size, buf), range(0, n, size)))
+            list(run(partial(_add_draws, fc, seed, stream, size, buf), range(0, n, size)))
             moments[name] = _moments_in_place(buf, f" of dimension {name!r}")
     fc.setflags(write=False)
 
@@ -275,23 +287,13 @@ def _streams(chain: ToleranceChain, rule: SigmaRule) -> dict[str, tuple[int, flo
     return {d.name: (i, d.coefficient, derive_distribution(d, rule)) for i, d in enumerate(chain.dimensions)}
 
 
-def _add_draws(fc: np.ndarray, seed: int, streams: list[tuple[int, float, DistributionParams]], size: int,
-               keep: np.ndarray | None, start: int) -> None:
-    """``fc += coefficient * draws`` on rows [start, start+size), stream by stream, drawn into those rows of
-    ``keep`` or, if None, one chunk array. Elementwise in stream order, so the chunking changes no bit."""
+def _add_draws(fc: np.ndarray, seed: int, stream: tuple[int, float, DistributionParams], size: int,
+               keep: np.ndarray, start: int) -> None:
+    """``fc += coefficient * draws`` on rows [start, start+size), drawn into those rows of ``keep``. Elementwise,
+    so the chunking changes no bit."""
+    index, coefficient, params = stream
     out = fc[start : start + size]
-    target = np.empty(out.size) if keep is None else keep[start : start + size]
-    for index, coefficient, params in streams:
-        # The product's temporary is made only once _normal_chunk has freed its bits.
-        out += coefficient * _normal_chunk(seed, index, params, start, target)
-
-
-def _fc_samples(chain: ToleranceChain, rule: SigmaRule, n: int, seed: int, size: int, run: Callable) -> np.ndarray:
-    """``sample_chain(chain, rule, n, seed).fc_samples`` bit for bit, by one job per chunk over every dimension."""
-    streams = list(_streams(chain, rule).values())
-    fc = np.zeros(n, dtype=np.float64)
-    list(run(partial(_add_draws, fc, seed, streams, size, None), range(0, n, size)))
-    return fc
+    out += coefficient * _normal_chunk(seed, index, params, start, keep[start : start + size])
 
 
 def statistical_interval(
@@ -360,14 +362,110 @@ def scrap_rate(samples: Sequence[float] | np.ndarray, condition: FunctionalCondi
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("scrap_rate requires a non-empty sample set")
-    if math.isnan(arr.min()):  # min propagates NaN
-        raise ValueError(f"{np.count_nonzero(np.isnan(arr))} of {arr.size} samples are NaN, neither inside nor outside")
-    below = int(np.count_nonzero(arr < condition.imposed_min)) if condition.imposed_min is not None else 0
-    above = int(np.count_nonzero(arr > condition.imposed_max)) if condition.imposed_max is not None else 0
-    n = int(arr.size)
+    low, high = _bounds(condition)
+    nans = int(np.count_nonzero(np.isnan(arr))) if math.isnan(arr.min()) else 0  # min propagates NaN
+    return _scrap_report(arr.size, int(np.count_nonzero(arr < low)), int(np.count_nonzero(arr > high)), nans)
+
+
+def _bounds(condition: FunctionalCondition) -> tuple[float, float]:
+    """The condition's bounds, a missing one as -inf or +inf, which no sample lies strictly beyond."""
+    return (-math.inf if condition.imposed_min is None else condition.imposed_min,
+            math.inf if condition.imposed_max is None else condition.imposed_max)
+
+
+def _scrap_report(n: int, below: int, above: int, nans: int) -> ScrapReport:
+    """The report of ``n`` samples, ``below`` and ``above`` of them outside, with the Wald half-width; any NaN
+    sample is an error."""
+    if nans:
+        raise ValueError(f"{nans} of {n} samples are NaN, neither inside nor outside")
     rate = (below + above) / n
     half_width = 1.96 * math.sqrt(rate * (1.0 - rate) / n)
     return ScrapReport(n=n, below=below, above=above, scrap_rate=rate, ci95_half_width=half_width)
+
+
+# Rows per block of the scrap count. Each thread holds a block's uniforms of
+# every dimension; smaller blocks lose time to the interpreter lock.
+_COUNT_ROWS = 16384
+
+
+@cache
+def _bracket() -> np.ndarray:
+    """Row b: bounds on ndtri of every value _to_normal passes it from a uniform whose top 12 bits are b. Built
+    on first use, so that only synthesis holds it."""
+    # The outer edges are the least and the greatest of those values. Each edge
+    # is widened by 1e-12 relative, about 2000 times cephes' documented peak error.
+    edges = ndtri(np.concatenate([[2.0**-54], np.arange(1, 4096) / 4096, [1.0 - 2.0**-52]]))
+    bracket = np.stack([edges[:-1] - np.abs(edges[:-1]) * 1e-12, edges[1:] + np.abs(edges[1:]) * 1e-12], axis=1)
+    bracket.setflags(write=False)
+    return bracket
+
+
+def _scrap_counts(chain: ToleranceChain, rule: SigmaRule, n: int, seed: int, size: int, run: Callable) -> ScrapReport:
+    """``scrap_rate(sample_chain(chain, rule, n, seed).fc_samples, chain.condition)``, by one job per chunk of
+    ``size`` rows over every dimension, without holding the samples. The condition must have a bound.
+
+    Each draw's bucket brackets its term: the bucket's edges carried through
+    the sampler's own steps. The terms' brackets add up in chain order, and
+    IEEE rounding is monotone, so a row's bracket holds its sample. Only a row
+    whose bracket has a NaN end or straddles a bound is drawn exactly.
+    """
+    streams = list(_streams(chain, rule).values())
+    tables = []
+    with np.errstate(over="ignore", invalid="ignore"):  # an edge may overflow where no draw does
+        for _, coefficient, params in streams:
+            ends = _bracket() * params.sigma
+            ends += params.mean
+            ends *= coefficient
+            tables.append(ends if coefficient > 0.0 else ends[:, ::-1].copy())  # the low edge's term is the greater
+    # Rows sigma, mean and coefficient, each a column over the dimensions.
+    columns = np.array([(p.sigma, p.mean, c) for _, c, p in streams]).T[:, :, None]
+    job = partial(_count_rows, seed, tables, columns, _bounds(chain.condition), n, size)
+    return _scrap_report(int(n), *map(sum, zip(*run(job, range(0, n, size)))))
+
+
+def _count_rows(seed: int, tables: list[np.ndarray], columns: np.ndarray, bounds: tuple[float, float], n: int,
+                size: int, start: int) -> tuple[int, int, int]:
+    """``(below, above, NaN)`` counts of the samples on rows [start, start+size) short of ``n``, block by block.
+    ``tables`` holds each dimension's least and greatest term by bucket, and ``columns`` their sigma, mean and
+    coefficient."""
+    low, high = bounds
+    sigma, mean, coefficient = columns
+    stop = min(start + size, n)
+    block = min(_COUNT_ROWS, stop - start)
+    # Generator.random gives the uniforms _normal_chunk makes, into a reused
+    # array and without the interpreter lock.
+    streams = [Generator(_stream(seed, index, start)) for index in range(len(tables))]
+    # Reused block by block: fresh arrays cost page faults, which threads take in turn.
+    uniforms, buckets = np.empty((len(tables), block)), np.empty((len(tables), block), dtype=np.intp)
+    sums, terms = np.empty((block, 2)), np.empty((block, 2))
+    below = above = nans = 0
+    for first in range(start, stop, block):
+        rows = min(block, stop - first)
+        drawn, bucket, bracket, term = uniforms[:, :rows], buckets[:, :rows], sums[:rows], terms[:rows]
+        for stream, row in zip(streams, drawn):
+            stream.random(out=row)
+        np.multiply(drawn, 4096.0, out=bucket, casting="unsafe")  # the top 12 bits
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow, or be inf - inf
+            np.take(tables[0], bucket[0], axis=0, out=bracket, mode="clip")
+            for table, index in zip(tables[1:], bucket[1:]):
+                np.take(table, index, axis=0, out=term, mode="clip")
+                bracket += term
+        # No term is NaN, as no coefficient is 0. So an end that is a number
+        # beyond a bound rules out the infinity of the other sign in every term
+        # and partial sum: the sample is no NaN and lies beyond the bound too.
+        # A NaN end, from inf - inf, decides nothing.
+        lo, hi = bracket.T
+        sure_below, sure_above = hi < low, lo > high
+        exact = np.flatnonzero(~(sure_below | sure_above | (lo >= low) & (hi <= high)))
+        draws = _to_normal(drawn[:, exact], sigma, mean)
+        draws *= coefficient
+        fc = np.zeros(exact.size)
+        for draw in draws:  # in chain order from +0.0, as sample_chain adds them
+            fc += draw
+        below += np.count_nonzero(sure_below) + np.count_nonzero(fc < low)
+        above += np.count_nonzero(sure_above) + np.count_nonzero(fc > high)
+        nans += np.count_nonzero(np.isnan(fc))
+    return int(below), int(above), int(nans)
 
 
 def analytic_scrap(chain: ToleranceChain, rule: SigmaRule) -> float:

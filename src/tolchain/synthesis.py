@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Any
 
 from .model import DEFAULTS, MAX_SEED, DimensionSpec, ToleranceChain, chain_document, check, respecify
-from .montecarlo import ScrapReport, SigmaRule, _chunk_jobs, _fc_samples, analytic_scrap, scrap_rate
+from .montecarlo import ScrapReport, SigmaRule, _chunk_jobs, _scrap_counts, analytic_scrap
 
 __all__ = [
     "IterationRecord",
@@ -128,9 +128,10 @@ def synthesize(
 ) -> SynthesisReport:
     """Adjust tolerances until the scrap rate meets the target band.
 
-    At most one thread pool serves the whole run. Each iteration draws only the
-    ``cfg.n_per_iteration`` condition samples, equal to ``sample_chain``'s at
-    seed ``cfg.seed + iteration``, and compares the scrap estimate to the target:
+    At most one thread pool serves the whole run. Each iteration counts the scrap
+    of ``cfg.n_per_iteration`` samples, exactly as ``scrap_rate`` counts
+    ``sample_chain``'s at seed ``cfg.seed + iteration`` but without holding them
+    (memory is per block of rows, not per sample), and compares the estimate to the target:
     inside the band stops the loop (action ``accept``); above it shrinks the
     widest non-frozen tolerance; below it widens the narrowest non-frozen,
     nonzero one. Ties fall to chain order. When no adjustable tolerance can
@@ -154,8 +155,7 @@ def synthesize(
     records: list[IterationRecord] = []
     with _chunk_jobs(cfg.n_per_iteration, workers) as (size, run):
         for k in range(cfg.max_iterations):
-            fc = _fc_samples(current, rule, cfg.n_per_iteration, (int(cfg.seed) + k) % MAX_SEED, size, run)
-            report = scrap_rate(fc, condition)
+            report = _scrap_counts(current, rule, cfg.n_per_iteration, (int(cfg.seed) + k) % MAX_SEED, size, run)
             effective, source = report.scrap_rate, "estimate"
             if report.scrap_rate == 0.0 and cfg.target_scrap <= 3.0 / cfg.n_per_iteration:
                 effective, source = analytic_scrap(current, rule), "analytic"

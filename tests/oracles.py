@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from tolchain import DimensionSpec, SampleBatch, ToleranceChain, respecify
+from tolchain import DimensionSpec, SampleBatch, ScrapReport, SigmaRule, ToleranceChain, montecarlo, respecify
+from tolchain import derive_distribution, scrap_rate
 
 
 def recompute_fc(chain: ToleranceChain, batch: SampleBatch) -> np.ndarray:
@@ -19,6 +20,19 @@ def recompute_fc(chain: ToleranceChain, batch: SampleBatch) -> np.ndarray:
     for d in chain.dimensions:
         fc += d.coefficient * batch.per_dimension[d.name]
     return fc
+
+
+def whole_draw_scrap(chain: ToleranceChain, rule: SigmaRule, n: int, seed: int) -> ScrapReport:
+    """``scrap_rate`` of the chain's condition samples, each column drawn whole.
+
+    The columns are added in chain order from +0.0, as in
+    :func:`tolchain.sample_chain`, but without its moments check, which
+    rejects a column that holds an inf.
+    """
+    fc = np.zeros(n, dtype=np.float64)
+    for index, d in enumerate(chain.dimensions):
+        fc += d.coefficient * montecarlo._normal_chunk(seed, index, derive_distribution(d, rule), 0, np.empty(n))
+    return scrap_rate(fc, chain.condition)
 
 
 def reference_samples_csv(batch: SampleBatch) -> str:

@@ -194,8 +194,9 @@ def test_criterion_8_byte_identical_outputs(chain_file, tmp_path):
         test_properties.check_widening_never_shrinks_interval,
         test_properties.check_adjustment_preserves_midpoint,
         test_properties.check_solve_is_conforming_and_widest,
+        test_properties.check_scrap_count_equals_the_samples,
     ],
-    ids=["round-trip", "translation", "monotonicity", "midpoint-preservation", "widest-solve"],
+    ids=["round-trip", "translation", "monotonicity", "midpoint-preservation", "widest-solve", "scrap-count"],
 )
 def test_criterion_9_property_suites(suite, request):
     name = request.node.callspec.id

@@ -10,9 +10,11 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
+from scipy.special import ndtri
 
 from conftest import traced_peak
-from oracles import recompute_fc, reference_samples_csv
+from oracles import recompute_fc, reference_samples_csv, whole_draw_scrap
 from tolchain import model, montecarlo
 from tolchain import (
     ChainValidationError,
@@ -59,6 +61,16 @@ def overflowing_chain():
     # a1's max limit, 1e308 + 1e308, is inf; a2 has no sigma in an explicit rule that names only a1.
     dims = (DimensionSpec("a1", 1e308, 1e308, 0.0, 1.0), DimensionSpec("a2", 1.0, 0.1, -0.1, 1.0))
     return ToleranceChain("overflowing", dims)
+
+
+def scrap_counts(chain, rule, n, seed, workers):
+    with montecarlo._chunk_jobs(n, workers) as (size, run):
+        return montecarlo._scrap_counts(chain, rule, n, seed, size, run)
+
+
+def tight(chain):
+    # About 5% of the actuator chain's samples lie below and 2.5% above.
+    return replace(chain, condition=FunctionalCondition("Ja", 10.4, 10.8))
 
 
 def wide_chain():
@@ -292,10 +304,10 @@ class TestSampleChain:
         with pytest.raises(ValueError, match=blamed):
             sample_chain(chain, rule, bad.get("n", 10), bad.get("seed", 1), workers=bad.get("workers", 1))
 
-    def test_condition_only_draws_reject_an_overflowing_chain(self):
-        with montecarlo._chunk_jobs(10, 1) as (size, run):
-            with pytest.raises(ChainValidationError, match="interval max must be finite"):
-                montecarlo._fc_samples(overflowing_chain(), IT6, 10, 1, size, run)
+    def test_scrap_counts_reject_an_overflowing_chain(self):
+        chain = replace(overflowing_chain(), condition=FunctionalCondition("J", 0.0, 1.0))
+        with pytest.raises(ChainValidationError, match="interval max must be finite"):
+            scrap_counts(chain, IT6, 10, 1, 1)
 
     @pytest.mark.parametrize("n", [5, 65_537, 100_000])
     def test_bit_identical_for_one_two_and_three_workers(self, actuator_chain, n):
@@ -306,20 +318,20 @@ class TestSampleChain:
         assert np.array_equal(recompute_fc(actuator_chain, batches[0]), batches[0].fc_samples)
 
     def test_threads_lose_no_update_to_the_condition_sum(self, actuator_chain):
-        # Every chunk job adds its own slice of fc, in sample_chain and in the
-        # condition-only draws; a short switch interval interleaves the threads
-        # as often as the interpreter allows.
+        # Every chunk job of sample_chain adds its own slice of fc, and every
+        # scrap-count job returns its own counts; a short switch interval
+        # interleaves the threads as often as the interpreter allows.
+        chain = tight(actuator_chain)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            batch = sample_chain(actuator_chain, IT6, 300_001, 5, workers=8)
-            with montecarlo._chunk_jobs(300_001, 8) as (size, run):
-                fc = montecarlo._fc_samples(actuator_chain, IT6, 300_001, 5, size, run)
+            batch = sample_chain(chain, IT6, 300_001, 5, workers=8)
+            counted = scrap_counts(chain, IT6, 300_001, 5, 8)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(recompute_fc(actuator_chain, batch), batch.fc_samples)
-        assert np.array_equal(sample_chain(actuator_chain, IT6, 300_001, 5).fc_samples, batch.fc_samples)
-        assert fc.tobytes() == batch.fc_samples.tobytes()
+        assert np.array_equal(recompute_fc(chain, batch), batch.fc_samples)
+        assert np.array_equal(sample_chain(chain, IT6, 300_001, 5).fc_samples, batch.fc_samples)
+        assert counted == scrap_rate(batch.fc_samples, chain.condition)
 
     @pytest.mark.parametrize("cores, threads", [(1, 1), (2, 2), (4, 4)])
     def test_pool_is_capped_at_the_core_count(self, actuator_chain, monkeypatch, cores, threads):
@@ -391,8 +403,8 @@ class TestSampleChain:
 
     def test_memory_is_bounded_for_many_dimensions(self):
         # 16 dimensions: holding every column would trace about 19 arrays of n
-        # doubles. The sampler holds fc, one buffer and a chunk of bits per
-        # thread (here a quarter of n each); batch_summary's fc moments then
+        # doubles. The sampler holds fc, one buffer and a chunk-sized product
+        # per thread (here a quarter of n each); batch_summary's fc moments then
         # take a copy of fc.
         chain, n = wide_chain(), 200_000
         peak = traced_peak(lambda: batch_summary(chain, sample_chain(chain, IT6, n, 3, workers=2), IT6))
@@ -400,28 +412,88 @@ class TestSampleChain:
 
     def test_sampler_holds_two_arrays_of_n(self):
         # fc and the reused buffer, whose moments are taken in place, plus a
-        # 62500-sample chunk of bits per thread: about 2.13 arrays of n doubles.
+        # 62500-sample product per thread: about 2.13 arrays of n doubles.
         chain, n = wide_chain(), 1_000_000
         peak = traced_peak(lambda: sample_chain(chain, IT6, n, 3, workers=2))
         assert peak <= 2.5 * 8 * n
 
     @pytest.mark.parametrize("n", [1, 4097, 65_541, 100_003])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_condition_only_draws_equal_sample_chain(self, actuator_chain, n, workers):
-        with montecarlo._chunk_jobs(n, workers) as (size, run):
-            fc = montecarlo._fc_samples(actuator_chain, IT6, n, 7, size, run)
-        assert fc.tobytes() == sample_chain(actuator_chain, IT6, n, 7, workers=workers).fc_samples.tobytes()
+    @pytest.mark.parametrize("bounds", ["actuator", "tight"])
+    def test_scrap_counts_equal_sample_chains(self, actuator_chain, n, workers, bounds):
+        chain = tight(actuator_chain) if bounds == "tight" else actuator_chain
+        report = scrap_rate(sample_chain(chain, IT6, n, 7, workers=workers).fc_samples, chain.condition)
+        assert scrap_counts(chain, IT6, n, 7, workers) == report
 
     @pytest.mark.parametrize(
-        "chain",
-        [wide_chain(), ToleranceChain("zero", tuple(DimensionSpec(f"z{i}", 0.0, 0.0, 0.0, -1.0) for i in range(2)))],
-        ids=["wide", "signed-zero"],
+        "chain, rule",
+        [
+            (wide_chain(), IT6),
+            # -1.0 * 0.0 is -0.0, which is neither below 0.0 nor above it.
+            (ToleranceChain("zero", tuple(DimensionSpec(f"z{i}", 0.0, 0.0, 0.0, -1.0) for i in range(2)),
+                            FunctionalCondition("J", 0.0, 0.0)), IT6),
+            # A zero-width dimension beside one of unit sigma, bounds 0.5 sigma off the mean.
+            (ToleranceChain("point", (DimensionSpec("p", 3.0, 0.0, 0.0, -2.0), DimensionSpec("d", 1.0, 3.0, -3.0, 1.0)),
+                            FunctionalCondition("J", -5.5, -4.5)), IT6),
+            # Mean 0, sigma 1e308: a draw beyond 1.8 sigma overflows to +/-inf, on the negative coefficient too.
+            (ToleranceChain("huge", (DimensionSpec("h", 0.0, 0.0, 0.0, -1.0), DimensionSpec("d", 1.0, 0.3, -0.3, 1.0)),
+                            FunctionalCondition("J", -1e300, 1e300)), SigmaRule.explicit({"h": 1e308, "d": 0.1})),
+            # Two such dimensions: a row of +inf and -inf sums to NaN.
+            (ToleranceChain("nan", tuple(DimensionSpec(f"h{i}", 0.0, 0.0, 0.0, 1.0) for i in range(2)),
+                            FunctionalCondition("J", -1e300, 1e300)), SigmaRule.explicit({"h0": 1e308, "h1": 1e308})),
+        ],
+        ids=["wide", "signed-zero", "zero-width", "overflow", "inf-minus-inf"],
     )
-    def test_condition_only_draws_keep_every_bit(self, chain):
-        # -1.0 * 0.0 is -0.0: the sum must start from +0.0 as sample_chain's does.
-        with montecarlo._chunk_jobs(70_001, 2) as (size, run):
-            fc = montecarlo._fc_samples(chain, IT6, 70_001, 5, size, run)
-        assert fc.tobytes() == sample_chain(chain, IT6, 70_001, 5, workers=2).fc_samples.tobytes()
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scrap_counts_on_edge_chains(self, chain, rule, workers):
+        def outcome(count):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # numpy's warning of a draw that overflows
+                try:
+                    return count()
+                except ValueError as exc:
+                    return str(exc)
+
+        expected = outcome(lambda: whole_draw_scrap(chain, rule, 70_001, 5))
+        assert outcome(lambda: scrap_counts(chain, rule, 70_001, 5, workers)) == expected
+        if chain.name == "nan":
+            assert re.fullmatch(r"\d+ of 70001 samples are NaN, neither inside nor outside", expected)
+        elif chain.name in ("huge", "point"):
+            assert 0 < expected.below and 0 < expected.above
+
+    def test_uniforms_are_the_words_top_53_bits(self):
+        words = Philox(counter=3, key=np.array([11, 2], dtype=np.uint64)).random_raw(1000)
+        uniforms = Generator(montecarlo._stream(11, 2, 12)).random(1000)
+        assert np.array_equal(uniforms, (words >> np.uint64(11)) * 2.0**-53)
+
+    def test_bracket_holds_every_reachable_draw(self):
+        # The least and greatest uniform of each bucket, and a million at random.
+        buckets = np.arange(4096) * 2**41
+        tops = np.concatenate([buckets, buckets + 2**41 - 1, np.random.default_rng(3).integers(0, 2**53, 10**6)])
+        uniforms = tops * 2.0**-53
+        draws = montecarlo._to_normal(uniforms.copy(), 1.0, 0.0)
+        low, high = montecarlo._bracket()[tops >> 41].T
+        assert np.all(low <= draws)
+        assert np.all(draws <= high)
+        assert np.all(np.isfinite(montecarlo._bracket()))
+
+    def test_the_top_word_draws_a_finite_normal(self):
+        # Word 2**64 - 1 has uniform 1 - 2**-53, and that plus 2**-54 would round
+        # to 1.0, whose ndtri is inf: it draws as the word 2**11 below it does.
+        uniforms = np.array([(2**64 - 1) >> 11, (2**64 - 2**11 - 1) >> 11]) * 2.0**-53
+        draws = montecarlo._to_normal(uniforms, 1.0, 0.0)
+        assert math.isfinite(draws[0])
+        assert draws[0] == draws[1] == ndtri(1.0 - 2.0**-52)
+
+    def test_scrap_count_memory_does_not_grow_with_n(self, actuator_chain):
+        # Each thread holds one block's uniforms, buckets and brackets, whatever n is.
+        def peak(n):
+            with montecarlo._chunk_jobs(n, 2) as (size, run):
+                return traced_peak(lambda: montecarlo._scrap_counts(actuator_chain, IT6, n, 3, size, run))
+
+        small, large = peak(200_000), peak(2_000_000)
+        assert large <= 1.1 * small
+        assert large <= 8 * 2_000_000 / 4
 
     def test_overflowing_spread_names_the_dimension(self):
         # a's draws are finite, but their squared deviations, near 1e399, are not.

@@ -1,11 +1,12 @@
 """Property-based invariants.
 
-The five ``check_`` suites are the library's core invariants (round-trip,
-translation, monotonicity, midpoint preservation, the widest solve) and run
-with enlarged case counts; the dyadic strategies make the equalities of the
-middle three exact rather than approximate. pytest does not collect them
-here: acceptance criterion 9 in ``test_acceptance.py`` runs each once. The
-tests cross-check the engines against brute-force oracles and each other.
+The six ``check_`` suites are the library's core invariants (round-trip,
+translation, monotonicity, midpoint preservation, the widest solve, the exact
+scrap count) and run with enlarged case counts; the dyadic strategies make
+the equalities of the middle three exact rather than approximate. pytest does
+not collect them here: acceptance criterion 9 in ``test_acceptance.py`` runs
+each once. The tests cross-check the engines against brute-force oracles and
+each other.
 """
 
 import math
@@ -25,6 +26,7 @@ from strategies import (
     dyadic_widenings,
     solvable_chains,
 )
+from tolchain import montecarlo
 from tolchain import (
     ConformityStatus,
     FunctionalCondition,
@@ -36,6 +38,7 @@ from tolchain import (
     respecify,
     sample_chain,
     scaled_deviations,
+    scrap_rate,
     serialize_chain,
     solve_unknown,
     verify_worst_case,
@@ -113,6 +116,29 @@ def check_solve_is_conforming_and_widest(case):
     assume(len(wider) == 2)
     for moved in wider:
         assert verify_worst_case(moved).status is not ConformityStatus.CONFORMING
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    chains(max_dims=5),
+    st.integers(-40, 40),
+    st.integers(0, 80),
+    st.sampled_from(("both", "min", "max")),
+    st.integers(1, 40_000),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 3),
+)
+def check_scrap_count_equals_the_samples(chain, offset, width, kept, n, seed, workers):
+    # Bounds a tenth of a sigma apart on a grid around the mean, so that rows
+    # straddle them, and on the point mass of a chain of zero-width zones.
+    params = propagate_analytic(chain, IT6)
+    low = params.mean + offset / 10.0 * params.sigma
+    high = params.mean + (offset + width) / 10.0 * params.sigma
+    condition = FunctionalCondition("J", low if kept != "max" else None, high if kept != "min" else None)
+    chain = replace(chain, condition=condition)
+    with montecarlo._chunk_jobs(n, workers) as (size, run):
+        counted = montecarlo._scrap_counts(chain, IT6, n, seed, size, run)
+    assert counted == scrap_rate(sample_chain(chain, IT6, n, seed).fc_samples, condition)
 
 
 @settings(max_examples=200, deadline=None)

@@ -320,14 +320,15 @@ class TestSynthesizeSampling:
 
     def test_pool_is_shut_down_when_an_iteration_raises(self, actuator_chain, pools, monkeypatch):
         calls = []
+        count = montecarlo._scrap_counts
 
-        def second_call_fails(samples, condition):
-            calls.append(condition)
+        def second_call_fails(*args):
+            calls.append(args)
             if len(calls) == 2:
                 raise RuntimeError("second iteration fails")
-            return scrap_rate(samples, condition)
+            return count(*args)
 
-        monkeypatch.setattr(synthesis, "scrap_rate", second_call_fails)
+        monkeypatch.setattr(synthesis, "_scrap_counts", second_call_fails)
         cfg = SynthesisConfig(target_scrap=0.001, n_per_iteration=20_000, seed=2, max_iterations=5)
         with pytest.raises(RuntimeError, match="second iteration fails"):
             synthesize(actuator_chain, IT6, cfg, workers=2)
@@ -336,7 +337,7 @@ class TestSynthesizeSampling:
 
     def test_zero_workers_is_rejected_before_anything_is_drawn(self, actuator_chain, monkeypatch):
         drawn = []
-        monkeypatch.setattr(montecarlo, "_normal_chunk", lambda *args: drawn.append(args))
+        monkeypatch.setattr(montecarlo, "_stream", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
             synthesize(actuator_chain, IT6, SynthesisConfig(target_scrap=0.001), workers=0)
         assert drawn == []
