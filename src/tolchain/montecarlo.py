@@ -450,10 +450,11 @@ def _count_rows(seed: int, tables: list[np.ndarray], columns: np.ndarray, bounds
             for table, index in zip(tables[1:], bucket[1:]):
                 np.take(table, index, axis=0, out=term, mode="clip")
                 bracket += term
-        # No term is NaN, as no coefficient is 0. So an end that is a number
-        # beyond a bound rules out the infinity of the other sign in every term
-        # and partial sum: the sample is no NaN and lies beyond the bound too.
-        # A NaN end, from inf - inf, decides nothing.
+        # No term is NaN, as no coefficient is 0, so a NaN sample needs +inf and
+        # -inf. A hi that is a number rules out +inf in every term and partial
+        # sum of the sample, and a lo that is a number rules out -inf: a row
+        # either end decides has a sample that is no NaN and lies on the same
+        # side of the bound. A NaN end, from inf - inf, decides nothing.
         lo, hi = bracket.T
         sure_below, sure_above = hi < low, lo > high
         exact = np.flatnonzero(~(sure_below | sure_above | (lo >= low) & (hi <= high)))
