@@ -486,9 +486,10 @@ class TestSampleChain:
         assert draws[0] == draws[1] == ndtri(1.0 - 2.0**-52)
 
     def test_scrap_count_memory_does_not_grow_with_n(self, actuator_chain):
-        # Each thread holds one block's uniforms, buckets and brackets, whatever n is.
+        # A job holds one block's uniforms, buckets and brackets, whatever n is;
+        # one worker keeps the peak free of how the threads overlap.
         def peak(n):
-            with montecarlo._chunk_jobs(n, 2) as (size, run):
+            with montecarlo._chunk_jobs(n, 1) as (size, run):
                 return traced_peak(lambda: montecarlo._scrap_counts(actuator_chain, IT6, n, 3, size, run))
 
         small, large = peak(200_000), peak(2_000_000)
