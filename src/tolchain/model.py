@@ -191,6 +191,12 @@ class FunctionalCondition:
         """True when at least one bound is present."""
         return self.imposed_min is not None or self.imposed_max is not None
 
+    @property
+    def bounds(self) -> tuple[float, float]:
+        """``(imposed_min, imposed_max)``, an absent one as -inf or +inf, which no value lies strictly beyond."""
+        return (-math.inf if self.imposed_min is None else self.imposed_min,
+                math.inf if self.imposed_max is None else self.imposed_max)
+
 
 @dataclass(frozen=True)
 class ToleranceChain:

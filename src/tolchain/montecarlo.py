@@ -174,9 +174,9 @@ class SampleBatch:
     fc_name: str
 
 
-def _stream(seed: int, index: int, start: int) -> Philox:
+def _stream(seed: int, index: int, start: int) -> Generator:
     """Philox stream ``index`` from word ``start``, a multiple of 4."""
-    return Philox(counter=start // 4, key=np.array([seed, index], dtype=np.uint64))
+    return Generator(Philox(counter=start // 4, key=np.array([seed, index], dtype=np.uint64)))
 
 
 def _to_normal(uniforms: np.ndarray, sigma: float | np.ndarray, mean: float | np.ndarray) -> np.ndarray:
@@ -196,11 +196,7 @@ def _to_normal(uniforms: np.ndarray, sigma: float | np.ndarray, mean: float | np
 
 def _normal_chunk(seed: int, index: int, params: DistributionParams, start: int, out: np.ndarray) -> np.ndarray:
     """Fills ``out`` with draws [start, start+out.size) of stream ``index``. ``start`` must be a multiple of 4."""
-    bits = _stream(seed, index, start).random_raw(out.size)
-    bits >>= np.uint64(11)
-    out[...] = bits
-    out *= 2.0**-53
-    return _to_normal(out, params.sigma, params.mean)
+    return _to_normal(_stream(seed, index, start).random(out=out), params.sigma, params.mean)
 
 
 class _Columns(Mapping[str, np.ndarray]):
@@ -215,9 +211,7 @@ class _Columns(Mapping[str, np.ndarray]):
 
     def __getitem__(self, name: str) -> np.ndarray:
         index, _, params = self._streams[name]
-        column = np.empty(self._n)
-        for start in range(0, self._n, _CHUNK):
-            _normal_chunk(self._seed, index, params, start, column[start : start + _CHUNK])
+        column = _normal_chunk(self._seed, index, params, 0, np.empty(self._n))
         column.setflags(write=False)
         return column
 
@@ -362,15 +356,9 @@ def scrap_rate(samples: Sequence[float] | np.ndarray, condition: FunctionalCondi
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("scrap_rate requires a non-empty sample set")
-    low, high = _bounds(condition)
+    low, high = condition.bounds
     nans = int(np.count_nonzero(np.isnan(arr))) if math.isnan(arr.min()) else 0  # min propagates NaN
     return _scrap_report(arr.size, int(np.count_nonzero(arr < low)), int(np.count_nonzero(arr > high)), nans)
-
-
-def _bounds(condition: FunctionalCondition) -> tuple[float, float]:
-    """The condition's bounds, a missing one as -inf or +inf, which no sample lies strictly beyond."""
-    return (-math.inf if condition.imposed_min is None else condition.imposed_min,
-            math.inf if condition.imposed_max is None else condition.imposed_max)
 
 
 def _scrap_report(n: int, below: int, above: int, nans: int) -> ScrapReport:
@@ -419,7 +407,7 @@ def _scrap_counts(chain: ToleranceChain, rule: SigmaRule, n: int, seed: int, siz
             tables.append(ends if coefficient > 0.0 else ends[:, ::-1].copy())  # the low edge's term is the greater
     # Rows sigma, mean and coefficient, each a column over the dimensions.
     columns = np.array([(p.sigma, p.mean, c) for _, c, p in streams]).T[:, :, None]
-    job = partial(_count_rows, seed, tables, columns, _bounds(chain.condition), n, size)
+    job = partial(_count_rows, seed, tables, columns, chain.condition.bounds, n, size)
     return _scrap_report(int(n), *map(sum, zip(*run(job, range(0, n, size)))))
 
 
@@ -432,9 +420,7 @@ def _count_rows(seed: int, tables: list[np.ndarray], columns: np.ndarray, bounds
     sigma, mean, coefficient = columns
     stop = min(start + size, n)
     block = min(_COUNT_ROWS, stop - start)
-    # Generator.random gives the uniforms _normal_chunk makes, into a reused
-    # array and without the interpreter lock.
-    streams = [Generator(_stream(seed, index, start)) for index in range(len(tables))]
+    streams = [_stream(seed, index, start) for index in range(len(tables))]
     # Reused block by block: fresh arrays cost page faults, which threads take in turn.
     uniforms, buckets = np.empty((len(tables), block)), np.empty((len(tables), block), dtype=np.intp)
     sums, terms = np.empty((block, 2)), np.empty((block, 2))
@@ -473,27 +459,18 @@ def analytic_scrap(chain: ToleranceChain, rule: SigmaRule) -> float:
     """Exact out-of-bounds probability under the propagated normal model.
 
     Computes Phi((min - mu)/sigma) + 1 - Phi((max - mu)/sigma) with the
-    machine-accurate normal CDF; an absent bound contributes nothing. A
-    zero-sigma chain is a point mass: scrap is 0 or 1 depending on whether
-    the mean sits inside the (closed) bounds.
+    machine-accurate normal CDF; an absent bound, read as -inf or +inf,
+    contributes exactly 0. A zero-sigma chain is a point mass: scrap is 0
+    or 1 depending on whether the mean sits inside the (closed) bounds.
     """
     condition = chain.condition
     if condition is None or not condition.is_bounded:
         raise ValueError("analytic_scrap requires a condition with at least one bound")
+    low, high = condition.bounds
     params = propagate_analytic(chain, rule)
-    below = 0.0
-    above = 0.0
-    if condition.imposed_min is not None:
-        if params.sigma == 0.0:
-            below = 1.0 if params.mean < condition.imposed_min else 0.0
-        else:
-            below = float(ndtr((condition.imposed_min - params.mean) / params.sigma))
-    if condition.imposed_max is not None:
-        if params.sigma == 0.0:
-            above = 1.0 if params.mean > condition.imposed_max else 0.0
-        else:
-            above = float(1.0 - ndtr((condition.imposed_max - params.mean) / params.sigma))
-    return below + above
+    if params.sigma == 0.0:
+        return float(params.mean < low) + float(params.mean > high)
+    return float(ndtr((low - params.mean) / params.sigma)) + float(1.0 - ndtr((high - params.mean) / params.sigma))
 
 
 # --- exports -----------------------------------------------------------------

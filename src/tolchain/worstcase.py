@@ -78,8 +78,8 @@ def verify_worst_case(chain: ToleranceChain) -> ConformityVerdict:
     condition = chain.condition
     if condition is None or not condition.is_bounded:
         return ConformityVerdict(ConformityStatus.UNCHECKED, computed, condition)
-    too_low = condition.imposed_min is not None and computed.min < condition.imposed_min
-    too_high = condition.imposed_max is not None and computed.max > condition.imposed_max
+    low, high = condition.bounds
+    too_low, too_high = computed.min < low, computed.max > high
     if too_low and too_high:
         status = ConformityStatus.NON_CONFORMING_BOTH
     elif too_low:

@@ -108,6 +108,12 @@ class TestFunctionalCondition:
         c = FunctionalCondition("J", 1.5, 1.5)
         assert c.imposed_min == c.imposed_max == 1.5
 
+    def test_bounds_read_an_absent_side_as_infinite(self):
+        assert FunctionalCondition("J", 1.0, 2.0).bounds == (1.0, 2.0)
+        assert FunctionalCondition("J", imposed_min=1.0).bounds == (1.0, math.inf)
+        assert FunctionalCondition("J", imposed_max=2.0).bounds == (-math.inf, 2.0)
+        assert FunctionalCondition("J").bounds == (-math.inf, math.inf)
+
 
 class TestToleranceChain:
     def test_requires_a_dimension(self):

@@ -10,8 +10,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
-from scipy.special import ndtri
+from numpy.random import Philox
+from scipy.special import ndtr, ndtri
 
 from conftest import traced_peak
 from oracles import recompute_fc, reference_samples_csv, whole_draw_scrap
@@ -417,6 +417,12 @@ class TestSampleChain:
         peak = traced_peak(lambda: sample_chain(chain, IT6, n, 3, workers=2))
         assert peak <= 2.5 * 8 * n
 
+    def test_column_redraw_holds_one_array_of_n(self, actuator_chain):
+        # The column is drawn and transformed in place, with no bits array beside it.
+        n = 200_000
+        batch = sample_chain(actuator_chain, IT6, n, 3, workers=1)
+        assert traced_peak(lambda: batch.per_dimension["a3"]) <= 1.05 * 8 * n
+
     @pytest.mark.parametrize("n", [1, 4097, 65_541, 100_003])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("bounds", ["actuator", "tight"])
@@ -463,7 +469,7 @@ class TestSampleChain:
 
     def test_uniforms_are_the_words_top_53_bits(self):
         words = Philox(counter=3, key=np.array([11, 2], dtype=np.uint64)).random_raw(1000)
-        uniforms = Generator(montecarlo._stream(11, 2, 12)).random(1000)
+        uniforms = montecarlo._stream(11, 2, 12).random(1000)
         assert np.array_equal(uniforms, (words >> np.uint64(11)) * 2.0**-53)
 
     def test_bracket_holds_every_reachable_draw(self):
@@ -650,9 +656,14 @@ class TestAnalyticScrap:
 
     def test_absent_bound_contributes_nothing(self):
         chain = one_dim_chain(0.0, 0.3, -0.3)
-        chain = replace(chain, condition=FunctionalCondition("J", imposed_max=0.3))
-        half = analytic_scrap(chain, IT6)
+        params = propagate_analytic(chain, IT6)
+        max_only = replace(chain, condition=FunctionalCondition("J", imposed_max=0.3))
+        half = analytic_scrap(max_only, IT6)
         assert half == pytest.approx(0.0026998 / 2.0, abs=1e-7)
+        # Exactly the one-sided tail: the absent bound's, at -inf or +inf, adds 0.0.
+        assert half == float(1.0 - ndtr((0.3 - params.mean) / params.sigma))
+        min_only = replace(chain, condition=FunctionalCondition("J", imposed_min=-0.3))
+        assert analytic_scrap(min_only, IT6) == float(ndtr((-0.3 - params.mean) / params.sigma))
 
     def test_point_mass(self):
         inside = one_dim_chain(5.0, 0.0, 0.0, bounds=(4.0, 6.0))
@@ -661,6 +672,10 @@ class TestAnalyticScrap:
         assert analytic_scrap(outside, IT6) == 1.0
         at_bound = one_dim_chain(5.0, 0.0, 0.0, bounds=(5.0, 7.0))
         assert analytic_scrap(at_bound, IT6) == 0.0
+        # A lone bound: the mean below a min, above a max, then on each.
+        for low, high, scrap in [(6.0, None, 1.0), (None, 4.0, 1.0), (5.0, None, 0.0), (None, 5.0, 0.0)]:
+            chain = replace(inside, condition=FunctionalCondition("J", low, high))
+            assert analytic_scrap(chain, IT6) == scrap
 
     def test_agrees_with_simulation(self):
         chain = one_dim_chain(0.0, 0.5, -0.5, bounds=(-0.35, 0.35))

@@ -122,6 +122,9 @@ class TestVerifyWorstCase:
         chain = replace(chain, condition=FunctionalCondition("J", imposed_min=9.0))
         assert verify_worst_case(chain).status is ConformityStatus.CONFORMING
 
+        chain = replace(chain, condition=FunctionalCondition("J", imposed_min=10.1))
+        assert verify_worst_case(chain).status is ConformityStatus.NON_CONFORMING_LOW
+
     def test_unchecked_when_no_bounds(self, actuator_chain):
         assert verify_worst_case(make_actuator_chain(None)).status is ConformityStatus.UNCHECKED
         unbounded = replace(actuator_chain, condition=FunctionalCondition("Ja"))
