@@ -176,11 +176,7 @@ class FunctionalCondition:
                 object.__setattr__(
                     self, field_name, _as_finite_float(value, f"condition {self.name!r}: {field_name}")
                 )
-        if (
-            self.imposed_min is not None
-            and self.imposed_max is not None
-            and self.imposed_min > self.imposed_max
-        ):
+        if self.bounds[0] > self.bounds[1]:
             raise ChainValidationError(
                 f"condition {self.name!r}: imposed_min ({self.imposed_min!r}) must not exceed "
                 f"imposed_max ({self.imposed_max!r})"

@@ -14,7 +14,7 @@ import csv
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
@@ -50,11 +50,10 @@ __all__ = [
     "statistical_interval",
 ]
 
-# Philox advances its counter in blocks of four 64-bit words, so chunk
-# boundaries must stay multiples of four for block-aligned restarts.
+# Rows per chunk job, at most.
 _CHUNK = 65536
-# Rows per block of the samples export: a multiple of 4, and small enough
-# that a block's re-drawn columns and text stay a few hundred kilobytes.
+# Rows per block of the samples export, few enough that a block's re-drawn
+# columns and text stay a few hundred kilobytes.
 _EXPORT_ROWS = 4096
 
 
@@ -175,8 +174,11 @@ class SampleBatch:
 
 
 def _stream(seed: int, index: int, start: int) -> Generator:
-    """Philox stream ``index`` from word ``start``, a multiple of 4."""
-    return Generator(Philox(counter=start // 4, key=np.array([seed, index], dtype=np.uint64)))
+    """Philox stream ``index`` from word ``start``. The counter counts blocks of four 64-bit words, and each
+    uniform takes one word, so the stream enters at its block and passes the words before ``start``."""
+    stream = Generator(Philox(counter=start // 4, key=np.array([seed, index], dtype=np.uint64)))
+    stream.random(start % 4)
+    return stream
 
 
 def _to_normal(uniforms: np.ndarray, sigma: float | np.ndarray, mean: float | np.ndarray) -> np.ndarray:
@@ -195,7 +197,7 @@ def _to_normal(uniforms: np.ndarray, sigma: float | np.ndarray, mean: float | np
 
 
 def _normal_chunk(seed: int, index: int, params: DistributionParams, start: int, out: np.ndarray) -> np.ndarray:
-    """Fills ``out`` with draws [start, start+out.size) of stream ``index``. ``start`` must be a multiple of 4."""
+    """Fills ``out`` with draws [start, start+out.size) of stream ``index``."""
     return _to_normal(_stream(seed, index, start).random(out=out), params.sigma, params.mean)
 
 
@@ -206,7 +208,7 @@ class _Columns(Mapping[str, np.ndarray]):
         self._seed, self._n, self._streams = seed, n, streams
 
     def rows(self, start: int, count: int) -> list[np.ndarray]:
-        """Rows [start, start+count) of every column. ``start`` must be a multiple of 4."""
+        """Rows [start, start+count) of every column."""
         return [_normal_chunk(self._seed, i, p, start, np.empty(count)) for i, _, p in self._streams.values()]
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -244,13 +246,13 @@ def sample_chain(
     """
     check("samples", n)
     check("seed", seed)
-    with _chunk_jobs(n, workers) as (size, run):
+    with _chunk_jobs(n, workers) as run:
         streams = _streams(chain, rule)
         fc = np.zeros(n, dtype=np.float64)
         buf = np.empty(n, dtype=np.float64)
         moments: dict[str, tuple[float, float]] = {}
         for name, stream in streams.items():
-            list(run(partial(_add_draws, fc, seed, stream, size, buf), range(0, n, size)))
+            run(partial(_add_draws, fc, seed, stream, buf))
             moments[name] = _moments_in_place(buf, f" of dimension {name!r}")
     fc.setflags(write=False)
 
@@ -260,19 +262,18 @@ def sample_chain(
 
 
 @contextmanager
-def _chunk_jobs(n: int, workers: int) -> Iterator[tuple[int, Callable]]:
-    """``(size, map)`` for jobs over ``n`` rows: equal chunks of at most _CHUNK rows, each a multiple of 4, in a
-    multiple of the thread count, run on a pool capped at the usable cores, or in the caller at 1 worker."""
+def _chunk_jobs(n: int, workers: int) -> Iterator[Callable[[Callable], list]]:
+    """``run``, where ``run(job)`` is ``[job(start, stop), ...]`` over [0, n) in order: equal chunks of at most
+    _CHUNK rows, in a multiple of the thread count, run on a pool capped at the usable cores, or in the caller
+    at 1 worker."""
     check("workers", workers)
     threads = min(workers, usable_cores())
     chunks = -(-n // _CHUNK)
     chunks += -chunks % threads
-    pool = ThreadPoolExecutor(max_workers=threads) if workers > 1 else None
-    try:
-        yield (-(-n // chunks) + 3) // 4 * 4, (map if pool is None else pool.map)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    edges = [*range(0, n, -(-n // chunks)), int(n)]
+    with ThreadPoolExecutor(max_workers=threads) if workers > 1 else nullcontext() as pool:
+        apply = map if pool is None else pool.map
+        yield lambda job: list(apply(lambda span: job(*span), zip(edges, edges[1:])))
 
 
 def _streams(chain: ToleranceChain, rule: SigmaRule) -> dict[str, tuple[int, float, DistributionParams]]:
@@ -281,13 +282,13 @@ def _streams(chain: ToleranceChain, rule: SigmaRule) -> dict[str, tuple[int, flo
     return {d.name: (i, d.coefficient, derive_distribution(d, rule)) for i, d in enumerate(chain.dimensions)}
 
 
-def _add_draws(fc: np.ndarray, seed: int, stream: tuple[int, float, DistributionParams], size: int,
-               keep: np.ndarray, start: int) -> None:
-    """``fc += coefficient * draws`` on rows [start, start+size), drawn into those rows of ``keep``. Elementwise,
-    so the chunking changes no bit."""
+def _add_draws(fc: np.ndarray, seed: int, stream: tuple[int, float, DistributionParams], keep: np.ndarray,
+               start: int, stop: int) -> None:
+    """``fc += coefficient * draws`` on rows [start, stop), drawn into those rows of ``keep``. Elementwise, so the
+    chunking changes no bit."""
     index, coefficient, params = stream
-    out = fc[start : start + size]
-    out += coefficient * _normal_chunk(seed, index, params, start, keep[start : start + size])
+    out = fc[start:stop]
+    out += coefficient * _normal_chunk(seed, index, params, start, keep[start:stop])
 
 
 def statistical_interval(
@@ -380,17 +381,19 @@ _COUNT_ROWS = 16384
 def _bracket() -> np.ndarray:
     """Row b: bounds on ndtri of every value _to_normal passes it from a uniform whose top 12 bits are b. Built
     on first use, so that only synthesis holds it."""
-    # The outer edges are the least and the greatest of those values. Each edge
-    # is widened by 1e-12 relative, about 2000 times cephes' documented peak error.
-    edges = ndtri(np.concatenate([[2.0**-54], np.arange(1, 4096) / 4096, [1.0 - 2.0**-52]]))
+    # Bucket b's uniforms lie in [b/4096, (b+1)/4096), and _to_normal is monotone,
+    # so it maps those two ends to bounds on the bucket's draws. Each edge is
+    # widened by 1e-12 relative, about 2000 times cephes' documented peak error.
+    edges = _to_normal(np.append(np.arange(4096) / 4096, 1.0), 1.0, 0.0)
     bracket = np.stack([edges[:-1] - np.abs(edges[:-1]) * 1e-12, edges[1:] + np.abs(edges[1:]) * 1e-12], axis=1)
     bracket.setflags(write=False)
     return bracket
 
 
-def _scrap_counts(chain: ToleranceChain, rule: SigmaRule, n: int, seed: int, size: int, run: Callable) -> ScrapReport:
-    """``scrap_rate(sample_chain(chain, rule, n, seed).fc_samples, chain.condition)``, by one job per chunk of
-    ``size`` rows over every dimension, without holding the samples. The condition must have a bound.
+def _scrap_counts(chain: ToleranceChain, rule: SigmaRule, seed: int, run: Callable) -> ScrapReport:
+    """``scrap_rate(sample_chain(chain, rule, n, seed).fc_samples, chain.condition)`` for the ``n`` rows of ``run``
+    (from ``_chunk_jobs``), by one job per chunk over every dimension, without holding the samples. The condition
+    must have a bound.
 
     Each draw's bucket brackets its term: the bucket's edges carried through
     the sampler's own steps. The terms' brackets add up in chain order, and
@@ -407,18 +410,15 @@ def _scrap_counts(chain: ToleranceChain, rule: SigmaRule, n: int, seed: int, siz
             tables.append(ends if coefficient > 0.0 else ends[:, ::-1].copy())  # the low edge's term is the greater
     # Rows sigma, mean and coefficient, each a column over the dimensions.
     columns = np.array([(p.sigma, p.mean, c) for _, c, p in streams]).T[:, :, None]
-    job = partial(_count_rows, seed, tables, columns, chain.condition.bounds, n, size)
-    return _scrap_report(int(n), *map(sum, zip(*run(job, range(0, n, size)))))
+    return _scrap_report(*map(sum, zip(*run(partial(_count_rows, seed, tables, columns, chain.condition.bounds)))))
 
 
-def _count_rows(seed: int, tables: list[np.ndarray], columns: np.ndarray, bounds: tuple[float, float], n: int,
-                size: int, start: int) -> tuple[int, int, int]:
-    """``(below, above, NaN)`` counts of the samples on rows [start, start+size) short of ``n``, block by block.
-    ``tables`` holds each dimension's least and greatest term by bucket, and ``columns`` their sigma, mean and
-    coefficient."""
+def _count_rows(seed: int, tables: list[np.ndarray], columns: np.ndarray, bounds: tuple[float, float], start: int,
+                stop: int) -> tuple[int, int, int, int]:
+    """``(rows, below, above, NaN)`` counts of the samples on rows [start, stop), block by block. ``tables`` holds
+    each dimension's least and greatest term by bucket, and ``columns`` their sigma, mean and coefficient."""
     low, high = bounds
     sigma, mean, coefficient = columns
-    stop = min(start + size, n)
     block = min(_COUNT_ROWS, stop - start)
     streams = [_stream(seed, index, start) for index in range(len(tables))]
     # Reused block by block: fresh arrays cost page faults, which threads take in turn.
@@ -452,7 +452,7 @@ def _count_rows(seed: int, tables: list[np.ndarray], columns: np.ndarray, bounds
         below += np.count_nonzero(sure_below) + np.count_nonzero(fc < low)
         above += np.count_nonzero(sure_above) + np.count_nonzero(fc > high)
         nans += np.count_nonzero(np.isnan(fc))
-    return int(below), int(above), int(nans)
+    return stop - start, int(below), int(above), int(nans)
 
 
 def analytic_scrap(chain: ToleranceChain, rule: SigmaRule) -> float:
@@ -477,13 +477,13 @@ def analytic_scrap(chain: ToleranceChain, rule: SigmaRule) -> float:
 
 
 def samples_csv(batch: SampleBatch, start: int = 0, stop: int | None = None) -> str:
-    """Rows [start, stop) of the batch as CSV, 9 significant digits; ``start`` a multiple of 4.
+    """Rows [start, stop) of the batch as CSV, 9 significant digits.
 
     The header ``index,<dimension names...>,<fc name>`` leads only at ``start``
     0, so consecutive ranges join into the whole export, which is the default.
     """
-    if start < 0 or start % 4:
-        raise ValueError(f"start must be a non-negative multiple of 4, got {start}")
+    if start < 0:
+        raise ValueError(f"start must be non-negative, got {start}")
     stop = batch.n if stop is None else min(stop, batch.n)
     header = io.StringIO()
     if start == 0:
@@ -515,12 +515,8 @@ def histogram_csv(samples: Sequence[float] | np.ndarray, bins: int = DEFAULTS["b
     if not math.isfinite(high - low):
         raise ValueError(f"the samples hold a NaN or an inf, or their range overflows: min {low!r}, max {high!r}")
     counts, edges = np.histogram(arr, bins=bins)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["bin_lower", "bin_upper", "count"])
-    for i in range(bins):
-        writer.writerow([format(edges[i], ".9g"), format(edges[i + 1], ".9g"), int(counts[i])])
-    return buffer.getvalue()
+    rows = np.column_stack([edges[:-1], edges[1:], counts]).ravel().tolist()
+    return "bin_lower,bin_upper,count\n" + "%.9g,%.9g,%d\n" * bins % tuple(rows)
 
 
 def batch_summary(

@@ -153,9 +153,9 @@ def synthesize(
 
     current = chain
     records: list[IterationRecord] = []
-    with _chunk_jobs(cfg.n_per_iteration, workers) as (size, run):
+    with _chunk_jobs(cfg.n_per_iteration, workers) as run:
         for k in range(cfg.max_iterations):
-            report = _scrap_counts(current, rule, cfg.n_per_iteration, (int(cfg.seed) + k) % MAX_SEED, size, run)
+            report = _scrap_counts(current, rule, (int(cfg.seed) + k) % MAX_SEED, run)
             effective, source = report.scrap_rate, "estimate"
             if report.scrap_rate == 0.0 and cfg.target_scrap <= 3.0 / cfg.n_per_iteration:
                 effective, source = analytic_scrap(current, rule), "analytic"

@@ -101,8 +101,12 @@ class TestFunctionalCondition:
         assert FunctionalCondition("J", imposed_max=1.0).is_bounded is True
 
     def test_crossed_bounds_rejected(self):
-        with pytest.raises(ChainValidationError, match="imposed_min"):
+        message = r"^condition 'J': imposed_min \(2\.0\) must not exceed imposed_max \(1\.0\)$"
+        with pytest.raises(ChainValidationError, match=message):
             FunctionalCondition("J", 2.0, 1.0)
+        # A lone bound faces an infinite absent side, so no value crosses it.
+        assert FunctionalCondition("J", imposed_min=5.0).bounds == (5.0, math.inf)
+        assert FunctionalCondition("J", imposed_max=-5.0).bounds == (-math.inf, -5.0)
 
     def test_equal_bounds_allowed(self):
         c = FunctionalCondition("J", 1.5, 1.5)

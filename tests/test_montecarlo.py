@@ -64,8 +64,8 @@ def overflowing_chain():
 
 
 def scrap_counts(chain, rule, n, seed, workers):
-    with montecarlo._chunk_jobs(n, workers) as (size, run):
-        return montecarlo._scrap_counts(chain, rule, n, seed, size, run)
+    with montecarlo._chunk_jobs(n, workers) as run:
+        return montecarlo._scrap_counts(chain, rule, seed, run)
 
 
 def tight(chain):
@@ -345,12 +345,15 @@ class TestSampleChain:
                 pools.append(max_workers)
 
             def map(self, fn, iterable):
-                starts = list(iterable)
-                mapped.append(len(starts))
-                return map(fn, starts)
+                spans = list(iterable)
+                mapped.append(len(spans))
+                return map(fn, spans)
 
-            def shutdown(self):
-                pass
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(montecarlo, "usable_cores", lambda: cores)
@@ -373,6 +376,15 @@ class TestSampleChain:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         assert model.usable_cores() == usable
+
+    @pytest.mark.parametrize("n", [1, 5, 65_541, 100_003])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunk_jobs_cover_the_rows_in_order(self, n, workers):
+        with montecarlo._chunk_jobs(n, workers) as run:
+            spans = run(lambda start, stop: (start, stop))
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
+        assert all(0 < stop - start <= montecarlo._CHUNK for start, stop in spans)
 
     def test_workers_default_to_the_usable_cores(self):
         assert inspect.signature(sample_chain).parameters["workers"].default == model.usable_cores()
@@ -467,9 +479,11 @@ class TestSampleChain:
         elif chain.name in ("huge", "point"):
             assert 0 < expected.below and 0 < expected.above
 
-    def test_uniforms_are_the_words_top_53_bits(self):
-        words = Philox(counter=3, key=np.array([11, 2], dtype=np.uint64)).random_raw(1000)
-        uniforms = montecarlo._stream(11, 2, 12).random(1000)
+    @pytest.mark.parametrize("start", [0, 12, 13, 14, 15])
+    def test_uniforms_are_the_words_top_53_bits(self, start):
+        # Uniform k of the stream entered at any row is word start + k of the whole stream.
+        words = Philox(counter=0, key=np.array([11, 2], dtype=np.uint64)).random_raw(start + 1000)[start:]
+        uniforms = montecarlo._stream(11, 2, start).random(1000)
         assert np.array_equal(uniforms, (words >> np.uint64(11)) * 2.0**-53)
 
     def test_bracket_holds_every_reachable_draw(self):
@@ -495,8 +509,8 @@ class TestSampleChain:
         # A job holds one block's uniforms, buckets and brackets, whatever n is;
         # one worker keeps the peak free of how the threads overlap.
         def peak(n):
-            with montecarlo._chunk_jobs(n, 1) as (size, run):
-                return traced_peak(lambda: montecarlo._scrap_counts(actuator_chain, IT6, n, 3, size, run))
+            with montecarlo._chunk_jobs(n, 1) as run:
+                return traced_peak(lambda: montecarlo._scrap_counts(actuator_chain, IT6, 3, run))
 
         small, large = peak(200_000), peak(2_000_000)
         assert large <= 1.1 * small
@@ -713,7 +727,7 @@ class TestExports:
         assert samples_csv(batch).splitlines(keepends=True) == expected
 
     @pytest.mark.parametrize("n", [1, 3, 4096, 4097, 65_541])
-    @pytest.mark.parametrize("block", [4, 4096, 8192])
+    @pytest.mark.parametrize("block", [3, 4, 4096, 4097, 8192])
     def test_samples_csv_blocks_join_into_the_export(self, actuator_chain, n, block):
         batch = sample_chain(actuator_chain, IT6, n, 5)
         # Compared as lines, as in the reference test above.
@@ -723,11 +737,13 @@ class TestExports:
         assert joined.splitlines(keepends=True) == whole
         assert "".join(montecarlo._samples_csv_blocks(batch)).splitlines(keepends=True) == whole
 
-    @pytest.mark.parametrize("start", [2, 4097, -4])
-    def test_samples_csv_rejects_a_misaligned_start(self, actuator_chain, start):
+    def test_samples_csv_starts_at_any_row(self, actuator_chain):
         batch = sample_chain(actuator_chain, IT6, 8192, 5)
-        with pytest.raises(ValueError, match=rf"^start must be .*, got {start}$"):
-            samples_csv(batch, start)
+        whole = samples_csv(batch).splitlines(keepends=True)
+        for start in (1, 2, 4097, 8191):
+            assert samples_csv(batch, start).splitlines(keepends=True) == whole[1 + start :]
+        with pytest.raises(ValueError, match=r"^start must be non-negative, got -4$"):
+            samples_csv(batch, -4)
 
     def test_samples_csv_ends_with_newline(self, actuator_chain):
         batch = sample_chain(actuator_chain, IT6, 2, 1)
