@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 # CPython's own SHA-256: importing hashlib loads OpenSSL's libcrypto, about 4 MB
 # of resident memory, and the worst-case commands hash nothing else.
@@ -122,32 +122,23 @@ def _config_block(cfg: RunConfig) -> dict[str, Any]:
     return {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name in flags}
 
 
-def _flatten(value: Any, prefix: str, rows: list[tuple[str, Any]]) -> None:
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _flatten(item, f"{prefix}.{key}" if prefix else str(key), rows)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _flatten(item, f"{prefix}.{i}", rows)
+def _leaves(value: Any, key: str = "") -> Iterator[tuple[str, Any]]:
+    """Yield each leaf of a report as its dotted key and its value."""
+    if isinstance(value, (dict, list)):
+        for part, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _leaves(item, f"{key}.{part}" if key else str(part))
     else:
-        rows.append((prefix, value))
+        yield key, value
 
 
-def _report_csv(report: dict[str, Any]) -> str:
-    rows: list[tuple[str, Any]] = []
-    _flatten(report, "", rows)
+def _render(report: dict[str, Any], fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["key", "value"])
-    for key, value in rows:
-        writer.writerow([key, "" if value is None else json.dumps(value)])
+    writer.writerows((key, "" if value is None else json.dumps(value)) for key, value in _leaves(report))
     return buffer.getvalue()
-
-
-def _render_report(report: dict[str, Any], fmt: str) -> str:
-    if fmt == "csv":
-        return _report_csv(report)
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def _write_all(outputs: list[tuple[Path, Iterable[str]]]) -> None:
@@ -191,13 +182,22 @@ def _sibling(path: Path, suffix: str) -> Path:
 def run(cfg: RunConfig) -> int:
     """Execute one command; returns the process exit code.
 
-    Raises the underlying errors (I/O, syntax, validation, infeasibility);
+    Raises ``ValueError`` naming the flag for a field its flag would reject,
+    and the underlying errors (I/O, syntax, validation, infeasibility);
     :func:`main` maps them to exit codes and stderr messages.
     """
+    if cfg.command not in _COMMANDS:
+        raise ValueError(f"unknown command {cfg.command!r}")
     # Flags first: a bad flag is blamed, as it was spelled, before the chain is read.
     for dest in _COMMANDS[cfg.command][1]:
+        spelling, settings = _FLAGS[dest]
+        value = getattr(cfg, dest)
         if dest in DEFAULTS:
-            check(dest, getattr(cfg, dest), f"{_FLAGS[dest][0]}: ")
+            check(dest, value, f"{spelling}: ")
+        elif value is None and settings.get("required"):
+            raise ValueError(f"{spelling} is required")
+        elif "choices" in settings and value not in settings["choices"]:
+            raise ValueError(f"{spelling}: invalid choice {value!r} (choose from {', '.join(settings['choices'])})")
 
     raw = cfg.chain.read_bytes()
     chain = parse_chain(raw)
@@ -227,15 +227,9 @@ def run(cfg: RunConfig) -> int:
             "computed": asdict(verdict.computed),
             "imposed": imposed,
         }
-        if verdict.status in (
-            ConformityStatus.NON_CONFORMING_LOW,
-            ConformityStatus.NON_CONFORMING_HIGH,
-            ConformityStatus.NON_CONFORMING_BOTH,
-        ):
-            exit_code = 1
+        exit_code = int(verdict.status not in (ConformityStatus.CONFORMING, ConformityStatus.UNCHECKED))
 
     elif cfg.command == "solve":
-        assert cfg.unknown is not None
         solved = solve_unknown(chain, cfg.unknown)
         report["result"] = {"dimension": asdict(solved), "it": solved.it}
 
@@ -253,10 +247,9 @@ def run(cfg: RunConfig) -> int:
                 (_sibling(cfg.output, ".hist.csv"), [montecarlo.histogram_csv(batch.fc_samples, cfg.bins)]),
             ]
 
-    elif cfg.command == "synthesize":
+    else:  # synthesize
         from . import montecarlo, synthesis
 
-        assert cfg.target_scrap is not None
         rule = montecarlo.SigmaRule(cfg.sigma_rule)
         synthesis_cfg = synthesis.SynthesisConfig(
             target_scrap=cfg.target_scrap,
@@ -271,10 +264,7 @@ def run(cfg: RunConfig) -> int:
         result = synthesis.synthesize(chain, rule, synthesis_cfg, workers=cfg.workers)
         report["result"] = synthesis.synthesis_report_document(result)
 
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(f"unknown command {cfg.command!r}")
-
-    text = _render_report(report, cfg.format)
+    text = _render(report, cfg.format)
     if cfg.output is None:
         sys.stdout.write(text)
     else:

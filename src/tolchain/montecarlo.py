@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
@@ -79,6 +80,8 @@ class SigmaRule:
                 raise ValueError("explicit sigma rule requires a per-dimension sigma mapping")
             clean = {}
             for name, sigma in self.sigmas.items():
+                if isinstance(sigma, bool) or not isinstance(sigma, numbers.Real):  # numpy's numbers are Reals
+                    raise ValueError(f"explicit sigma for {name!r} must be a real number, got {sigma!r}")
                 sigma = float(sigma)
                 if not math.isfinite(sigma) or sigma < 0.0:
                     raise ValueError(f"explicit sigma for {name!r} must be finite and >= 0, got {sigma!r}")

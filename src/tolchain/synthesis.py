@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Any
+from typing import Any, Iterable
 
 from .model import DEFAULTS, MAX_SEED, DimensionSpec, ToleranceChain, chain_document, check, respecify
 from .montecarlo import ScrapReport, SigmaRule, _chunk_jobs, _scrap_counts, analytic_scrap
@@ -59,7 +59,13 @@ class SynthesisConfig:
             check(name, getattr(self, name))
         if isinstance(self.frozen, str):
             raise ValueError(f"frozen must be a collection of dimension names, not the string {self.frozen!r}")
-        object.__setattr__(self, "frozen", frozenset(self.frozen))
+        if not isinstance(self.frozen, Iterable):
+            raise ValueError(f"frozen must be a collection of dimension names, got {self.frozen!r}")
+        names = tuple(self.frozen)
+        for name in names:
+            if not isinstance(name, str):
+                raise ValueError(f"frozen must hold dimension names as strings, got {name!r}")
+        object.__setattr__(self, "frozen", frozenset(names))
 
 
 @dataclass(frozen=True)

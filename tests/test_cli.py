@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from conftest import ACTUATOR_DOC, make_actuator_chain, traced_peak
 import tolchain
 from tolchain import SigmaRule, SynthesisConfig, histogram_csv, montecarlo, parse_chain, sample_chain
 from tolchain import batch_summary, statistical_interval, synthesize
-from tolchain.cli import RunConfig, main
+from tolchain.cli import RunConfig, main, run
 
 # The library call that checks each sampling flag's value.
 LIBRARY_ENTRY_POINTS = {
@@ -104,13 +105,19 @@ class TestVerify:
         assert report["result"]["status"] == "Conforming"
         assert report["result"]["imposed"] == {"name": "Ja", "min": 10.0, "max": 11.16}
 
-    def test_non_conforming_exits_one_with_report(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "bounds, status",
+        [({"max": 11.0}, "NonConformingHigh"), ({"min": 10.5}, "NonConformingLow"),
+         ({"min": 10.5, "max": 11.0}, "NonConformingBoth")],
+        ids=["high", "low", "both"],
+    )
+    def test_non_conforming_exits_one_with_report(self, tmp_path, capsys, bounds, status):
         doc = copy.deepcopy(ACTUATOR_DOC)
-        doc["condition"]["max"] = 11.0
+        doc["condition"].update(bounds)
         path = write_chain(tmp_path, doc)
         code, out, _ = run_cli(["verify", "--chain", str(path)], capsys)
         assert code == 1
-        assert json.loads(out)["result"]["status"] == "NonConformingHigh"
+        assert json.loads(out)["result"]["status"] == status
 
     def test_unchecked_exits_zero(self, tmp_path, capsys):
         doc = copy.deepcopy(ACTUATOR_DOC)
@@ -677,6 +684,26 @@ class TestErrorPaths:
         path = write_chain(tmp_path, doc)
         code, out, err = run_cli(["simulate", "--samples", "1", "--chain", str(path)], capsys)
         assert (code, out, err) == (2, "", "tolchain: condition 'J': distribution parameters must be finite\n")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"command": "bogus"}, "unknown command 'bogus'"),
+            ({"command": "analyze", "chain": None}, "--chain is required"),
+            ({"command": "analyze", "format": "xml"}, "--format: invalid choice 'xml' (choose from json, csv)"),
+            ({"command": "simulate", "sigma_rule": "explicit"},
+             "--sigma-rule: invalid choice 'explicit' (choose from it6, it3)"),
+            ({"command": "solve"}, "--unknown is required"),
+            ({"command": "synthesize"}, "--target-scrap: target_scrap must be a real number, got None"),
+        ],
+        ids=["command", "chain", "format", "sigma-rule", "unknown", "target-scrap"],
+    )
+    def test_run_applies_the_rules_of_the_flags(self, chain_file, tmp_path, fields, message):
+        # run is public: a RunConfig built in Python is held to what argparse holds the flags to.
+        before = set(tmp_path.iterdir())
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(RunConfig(**{"chain": chain_file, "output": tmp_path / "r.json", **fields}))
+        assert set(tmp_path.iterdir()) == before
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:

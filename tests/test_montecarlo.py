@@ -83,6 +83,7 @@ class TestSigmaRule:
         assert SigmaRule.it6().kind == "it6"
         assert SigmaRule.it3().kind == "it3"
         assert SigmaRule.explicit({"a": 0.05}).sigmas == {"a": 0.05}
+        assert SigmaRule.explicit({"a": np.float32(0.5), "b": np.int64(2)}).sigmas == {"a": 0.5, "b": 2.0}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown sigma rule"):
@@ -92,9 +93,21 @@ class TestSigmaRule:
         with pytest.raises(ValueError, match="requires a per-dimension sigma"):
             SigmaRule("explicit")
 
-    def test_negative_explicit_sigma_rejected(self):
-        with pytest.raises(ValueError, match="must be finite and >= 0"):
-            SigmaRule.explicit({"a": -0.1})
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            (-0.1, "explicit sigma for 'a' must be finite and >= 0, got -0.1"),
+            (math.nan, "explicit sigma for 'a' must be finite and >= 0, got nan"),
+            (math.inf, "explicit sigma for 'a' must be finite and >= 0, got inf"),
+            ("0.1", "explicit sigma for 'a' must be a real number, got '0.1'"),
+            (True, "explicit sigma for 'a' must be a real number, got True"),
+            (None, "explicit sigma for 'a' must be a real number, got None"),
+            (1j, "explicit sigma for 'a' must be a real number, got 1j"),
+        ],
+    )
+    def test_bad_explicit_sigma_rejected(self, sigma, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SigmaRule.explicit({"a": sigma})
 
     def test_mapping_only_for_explicit(self):
         with pytest.raises(ValueError, match="does not take"):

@@ -367,6 +367,10 @@ class TestSynthesisConfig:
             ({"target_scrap": 0.01, "adjustment_factor": "0.1"}, "adjustment_factor must be a real number, got '0.1'"),
             ({"target_scrap": 0.01, "tolerance_band": True}, "tolerance_band must be a real number, got True"),
             ({"target_scrap": 0.01, "tolerance_band": [0.25]}, "tolerance_band must be a real number, got [0.25]"),
+            ({"target_scrap": 0.01, "frozen": None}, "frozen must be a collection of dimension names, got None"),
+            ({"target_scrap": 0.01, "frozen": 3}, "frozen must be a collection of dimension names, got 3"),
+            ({"target_scrap": 0.01, "frozen": [["a"]]}, "frozen must hold dimension names as strings, got ['a']"),
+            ({"target_scrap": 0.01, "frozen": ["zz", 1]}, "frozen must hold dimension names as strings, got 1"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, message):
