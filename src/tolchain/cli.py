@@ -198,6 +198,8 @@ def run(cfg: RunConfig) -> int:
             raise ValueError(f"{spelling} is required")
         elif "choices" in settings and value not in settings["choices"]:
             raise ValueError(f"{spelling}: invalid choice {value!r} (choose from {', '.join(settings['choices'])})")
+        elif value is not None and not isinstance(value, kind := settings.get("type", str)):
+            raise ValueError(f"{spelling} must be a {kind.__name__}, got {value!r}")
 
     raw = cfg.chain.read_bytes()
     chain = parse_chain(raw)

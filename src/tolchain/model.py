@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Mapping
@@ -45,17 +46,22 @@ class ChainValidationError(ValueError):
     """A chain, condition, or dimension violates a model invariant."""
 
 
-def _as_finite_float(value: Any, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # numpy's integers and floats are Reals
-        raise ChainValidationError(f"{what} must be a real number, got {value!r}")
+def as_real(value: Any, what: str, valid: Callable[[Any], bool] = math.isfinite, rule: str = "must be finite, got {!r}",
+            integral: bool = False, error: type[ValueError] = ValueError) -> float:
+    """``float(value)``, once ``value`` is a real number (an integer where ``integral``) but not a bool, lies within a
+    double's range and is ``valid``. Else raises ``error``: ``what``, then the type wanted or ``rule``, which for a
+    value beyond the range gives its bit length in place of the value."""
+    kind, wanted = (numbers.Integral, "an integer") if integral else (numbers.Real, "a real number")
+    if isinstance(value, bool) or not isinstance(value, kind):  # numpy's integers and floats pass
+        raise error(f"{what} must be {wanted}, got {value!r}")
     try:
-        value = float(value)
-    except OverflowError:  # beyond a double's range, too long to print past 4300 digits
+        number = float(value)
+    except OverflowError:  # named by its length: past 4300 digits an integer is too long to print
         kind = "an integer" if isinstance(value, numbers.Integral) else "a number"
-        raise ChainValidationError(f"{what} must be finite, got {kind} of {int(value).bit_length()} bits") from None
-    if not math.isfinite(value):
-        raise ChainValidationError(f"{what} must be finite, got {value!r}")
-    return value
+        raise error(f"{what} {rule.rpartition(', got ')[0]}, got {kind} of {int(value).bit_length()} bits") from None
+    if not valid(value if integral else number):  # a count is compared exactly
+        raise error(f"{what} {rule.format(value)}")
+    return number
 
 
 def _checked_name(value: Any, what: str) -> str:
@@ -75,16 +81,19 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+# The longest float64 array numpy can address (its size in bytes fits a signed word): the most samples or bin edges.
+MAX_COUNT = sys.maxsize // 8
+
 # Each sampling and synthesis parameter's default (None where a caller must give one), what it must satisfy, and
 # the error's text for a value that does not, quoted with str for the sample, worker and bin counts, else with repr.
 # A parameter whose default is an int takes only integers, any other only real numbers: numpy's pass, a bool does not.
 # Keyed by its RunConfig or SynthesisConfig field; every default and check of these parameters reads it.
 SAMPLING_RULES: dict[str, tuple[Any, Callable[[Any], bool], str]] = {
-    "samples": (100_000, lambda n: n >= 1, "sample count must be >= 1, got {}"),
+    "samples": (100_000, lambda n: 1 <= n <= MAX_COUNT, f"sample count must lie in [1, {MAX_COUNT}], got {{}}"),
     "seed": (1, lambda seed: 0 <= seed < MAX_SEED, "seed must be an unsigned 64-bit integer, got {!r}"),
     "workers": (usable_cores(), lambda workers: workers >= 1, "workers must be >= 1, got {}"),
     "coverage_sigmas": (3.0, lambda c: 0.0 < c < math.inf, "coverage_sigmas must be finite and > 0, got {!r}"),
-    "bins": (50, lambda bins: bins >= 1, "bin count must be >= 1, got {}"),
+    "bins": (50, lambda bins: 1 <= bins < MAX_COUNT, f"bin count must lie in [1, {MAX_COUNT - 1}], got {{}}"),
     "target_scrap": (None, lambda p: 0.0 < p < 1.0, "target_scrap must lie in (0, 1), got {!r}"),
     "max_iterations": (50, lambda n: n >= 1, "max_iterations must be >= 1, got {!r}"),
     "adjustment_factor": (0.1, lambda f: 0.0 < f < 1.0, "adjustment_factor must lie in (0, 1), got {!r}"),
@@ -96,11 +105,8 @@ DEFAULTS = {name: default for name, (default, _, _) in SAMPLING_RULES.items()}
 def check(name: str, value: Any, prefix: str = "") -> None:
     """Raise ``ValueError``, its message led by ``prefix``, unless ``value`` meets the rule of parameter ``name``."""
     default, valid, message = SAMPLING_RULES[name]
-    kind, wanted = (numbers.Integral, "an integer") if isinstance(default, int) else (numbers.Real, "a real number")
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(prefix + message.split(" must ")[0] + f" must be {wanted}, got {value!r}")
-    if not valid(value):
-        raise ValueError(prefix + message.format(value))
+    subject, _, rule = message.partition(" must ")
+    as_real(value, prefix + subject, valid, "must " + rule, isinstance(default, int))
 
 
 @dataclass(frozen=True)
@@ -122,11 +128,8 @@ class DimensionSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", _checked_name(self.name, "dimension name"))
         for field_name in ("nominal", "upper_dev", "lower_dev", "coefficient"):
-            object.__setattr__(
-                self,
-                field_name,
-                _as_finite_float(getattr(self, field_name), f"dimension {self.name!r}: {field_name}"),
-            )
+            what = f"dimension {self.name!r}: {field_name}"
+            object.__setattr__(self, field_name, as_real(getattr(self, field_name), what, error=ChainValidationError))
         if self.lower_dev > self.upper_dev:
             raise ChainValidationError(
                 f"dimension {self.name!r}: lower_dev ({self.lower_dev!r}) must not exceed "
@@ -173,9 +176,8 @@ class FunctionalCondition:
         for field_name in ("imposed_min", "imposed_max"):
             value = getattr(self, field_name)
             if value is not None:
-                object.__setattr__(
-                    self, field_name, _as_finite_float(value, f"condition {self.name!r}: {field_name}")
-                )
+                what = f"condition {self.name!r}: {field_name}"
+                object.__setattr__(self, field_name, as_real(value, what, error=ChainValidationError))
         if self.bounds[0] > self.bounds[1]:
             raise ChainValidationError(
                 f"condition {self.name!r}: imposed_min ({self.imposed_min!r}) must not exceed "
@@ -256,9 +258,8 @@ class IntervalResult:
 
     def __post_init__(self) -> None:
         for field_name in ("min", "max", "it"):
-            object.__setattr__(
-                self, field_name, _as_finite_float(getattr(self, field_name), f"interval {field_name}")
-            )
+            value = as_real(getattr(self, field_name), f"interval {field_name}", error=ChainValidationError)
+            object.__setattr__(self, field_name, value)
         if self.min > self.max:
             raise ChainValidationError(f"interval min ({self.min!r}) must not exceed max ({self.max!r})")
         if self.it < 0.0:

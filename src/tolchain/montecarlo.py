@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
@@ -30,6 +29,7 @@ from .model import (
     FunctionalCondition,
     IntervalResult,
     ToleranceChain,
+    as_real,
     check,
     usable_cores,
 )
@@ -78,14 +78,9 @@ class SigmaRule:
         if self.kind == "explicit":
             if not self.sigmas:
                 raise ValueError("explicit sigma rule requires a per-dimension sigma mapping")
-            clean = {}
+            clean, rule = {}, "must be finite and >= 0, got {!r}"
             for name, sigma in self.sigmas.items():
-                if isinstance(sigma, bool) or not isinstance(sigma, numbers.Real):  # numpy's numbers are Reals
-                    raise ValueError(f"explicit sigma for {name!r} must be a real number, got {sigma!r}")
-                sigma = float(sigma)
-                if not math.isfinite(sigma) or sigma < 0.0:
-                    raise ValueError(f"explicit sigma for {name!r} must be finite and >= 0, got {sigma!r}")
-                clean[str(name)] = sigma
+                clean[str(name)] = as_real(sigma, f"explicit sigma for {name!r}", lambda s: 0.0 <= s < math.inf, rule)
             object.__setattr__(self, "sigmas", clean)
         elif self.sigmas is not None:
             raise ValueError(f"sigma rule {self.kind!r} does not take a sigma mapping")
@@ -111,9 +106,10 @@ class DistributionParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean) and math.isfinite(self.sigma)):
+        mean, sigma = (as_real(getattr(self, name), name, lambda _: True) for name in ("mean", "sigma"))
+        if not (math.isfinite(mean) and math.isfinite(sigma)):
             raise ValueError("distribution parameters must be finite")
-        if self.sigma < 0.0:
+        if sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma!r}")
 
 

@@ -24,6 +24,7 @@ import tolchain
 from tolchain import SigmaRule, SynthesisConfig, histogram_csv, montecarlo, parse_chain, sample_chain
 from tolchain import batch_summary, statistical_interval, synthesize
 from tolchain.cli import RunConfig, main, run
+from tolchain.model import MAX_COUNT
 
 # The library call that checks each sampling flag's value.
 LIBRARY_ENTRY_POINTS = {
@@ -567,8 +568,14 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["simulate", "--samples", "0"], "--samples: sample count must be >= 1, got 0"),
-            (["synthesize", "--samples", "0"], "--samples: sample count must be >= 1, got 0"),
+            (["simulate", "--samples", "0"], f"--samples: sample count must lie in [1, {MAX_COUNT}], got 0"),
+            (["synthesize", "--samples", "0"], f"--samples: sample count must lie in [1, {MAX_COUNT}], got 0"),
+            (["simulate", "--samples", str(10**41)],
+             f"--samples: sample count must lie in [1, {MAX_COUNT}], got {10**41}"),
+            (["synthesize", "--samples", str(10**41)],
+             f"--samples: sample count must lie in [1, {MAX_COUNT}], got {10**41}"),
+            (["simulate", "--samples", str(MAX_COUNT + 1)],
+             f"--samples: sample count must lie in [1, {MAX_COUNT}], got {MAX_COUNT + 1}"),
             (["simulate", "--seed", "-1"], "--seed: seed must be an unsigned 64-bit integer, got -1"),
             (["synthesize", "--seed", str(2**64)],
              f"--seed: seed must be an unsigned 64-bit integer, got {2**64}"),
@@ -577,10 +584,15 @@ class TestErrorPaths:
             (["synthesize", "--target-scrap", "1.5"], "--target-scrap: target_scrap must lie in (0, 1), got 1.5"),
             (["synthesize", "--target-scrap", "nan"], "--target-scrap: target_scrap must lie in (0, 1), got nan"),
             (["simulate", "--coverage", "inf"], "--coverage: coverage_sigmas must be finite and > 0, got inf"),
-            (["simulate", "--bins", "0"], "--bins: bin count must be >= 1, got 0"),
+            (["simulate", "--bins", "0"], f"--bins: bin count must lie in [1, {MAX_COUNT - 1}], got 0"),
+            (["simulate", "--bins", str(2**63 - 1), "--output", "o.json"],
+             f"--bins: bin count must lie in [1, {MAX_COUNT - 1}], got {2**63 - 1}"),
+            (["simulate", "--bins", str(MAX_COUNT), "--output", "o.json"],
+             f"--bins: bin count must lie in [1, {MAX_COUNT - 1}], got {MAX_COUNT}"),
         ],
-        ids=["samples", "synthesize-samples", "seed", "synthesize-seed", "workers", "synthesize-workers",
-             "target-scrap", "target-scrap-nan", "coverage", "bins"],
+        ids=["samples", "synthesize-samples", "samples-1e41", "synthesize-samples-1e41", "samples-above-max", "seed",
+             "synthesize-seed", "workers", "synthesize-workers", "target-scrap", "target-scrap-nan", "coverage", "bins",
+             "bins-2**63-1", "bins-max"],
     )
     def test_bad_sampling_flag_is_named_before_the_chain_is_read(self, tmp_path, capsys, argv, message):
         if argv[0] == "synthesize" and "--target-scrap" not in argv:
@@ -592,15 +604,19 @@ class TestErrorPaths:
         "command, flag, text, value",
         [
             ("simulate", "--samples", "0", 0),
+            ("simulate", "--samples", str(10**41), 10**41),
             ("simulate", "--seed", "-1", -1),
             ("synthesize", "--seed", str(2**64), 2**64),
             ("simulate", "--workers", "0", 0),
             ("simulate", "--coverage", "0", 0.0),
             ("simulate", "--coverage", "nan", math.nan),
             ("simulate", "--bins", "0", 0),
+            ("simulate", "--bins", str(2**63 - 1), 2**63 - 1),
+            ("simulate", "--bins", str(MAX_COUNT), MAX_COUNT),
             ("synthesize", "--target-scrap", "1.5", 1.5),
         ],
-        ids=["samples", "seed", "seed-2**64", "workers", "coverage", "coverage-nan", "bins", "target-scrap"],
+        ids=["samples", "samples-1e41", "seed", "seed-2**64", "workers", "coverage", "coverage-nan", "bins",
+             "bins-2**63-1", "bins-max", "target-scrap"],
     )
     def test_sampling_flag_error_is_the_library_error(self, tmp_path, capsys, command, flag, text, value):
         # The CLI states the library's rule and message for the parsed value, prefixed by the flag.
@@ -615,11 +631,11 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--samples", np.int64(0), "sample count must be >= 1, got 0"),
+            ("--samples", np.int64(0), f"sample count must lie in [1, {MAX_COUNT}], got 0"),
             ("--seed", np.int64(-1), "seed must be an unsigned 64-bit integer, got np.int64(-1)"),
             ("--workers", np.int64(0), "workers must be >= 1, got 0"),
             ("--coverage", np.float64(0.0), "coverage_sigmas must be finite and > 0, got np.float64(0.0)"),
-            ("--bins", np.int64(0), "bin count must be >= 1, got 0"),
+            ("--bins", np.int64(0), f"bin count must lie in [1, {MAX_COUNT - 1}], got 0"),
             ("--target-scrap", np.float64(1.5), "target_scrap must lie in (0, 1), got np.float64(1.5)"),
         ],
         ids=["samples", "seed", "workers", "coverage", "bins", "target-scrap"],
@@ -695,8 +711,12 @@ class TestErrorPaths:
              "--sigma-rule: invalid choice 'explicit' (choose from it6, it3)"),
             ({"command": "solve"}, "--unknown is required"),
             ({"command": "synthesize"}, "--target-scrap: target_scrap must be a real number, got None"),
+            ({"command": "analyze", "chain": "chain.json"}, "--chain must be a Path, got 'chain.json'"),
+            ({"command": "simulate", "output": "o.json"}, "--output must be a Path, got 'o.json'"),
+            ({"command": "solve", "unknown": 3}, "--unknown must be a str, got 3"),
         ],
-        ids=["command", "chain", "format", "sigma-rule", "unknown", "target-scrap"],
+        ids=["command", "chain", "format", "sigma-rule", "unknown", "target-scrap", "chain-str", "output-str",
+             "unknown-int"],
     )
     def test_run_applies_the_rules_of_the_flags(self, chain_file, tmp_path, fields, message):
         # run is public: a RunConfig built in Python is held to what argparse holds the flags to.

@@ -5,13 +5,22 @@ SHA-256 of everything the call writes: stdout (``-``) and each output file.
 The calls run with the working directory in ``tmp_path`` and a relative
 ``--chain``, so the report's ``chain_file`` is the same on every machine.
 A refactor must leave every hash unchanged; a change that means to alter the
-bytes re-pins them and says why.
+bytes re-pins them and says why. The same hashes must hold whichever dispatch
+target numpy picks for this CPU.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__
 
+import tolchain
+from tolchain import DimensionSpec, SigmaRule, ToleranceChain, sample_chain
 from tolchain.cli import main
 
 CHAIN = ["--chain", "actuator.json"]
@@ -114,3 +123,46 @@ def test_outputs_match_pinned_hashes(actuator_file, monkeypatch, capsys, argv, e
         for name in expected
     }
     assert digests == expected
+
+
+# numpy's optional SIMD targets, each a level it may pick at run time for a CPU that has it.
+DISPATCH = list(__cpu_dispatch__)
+
+# The draws of a zone centred on 0 at sigma 1 are the transform's own bits. The
+# cases' draws are not: a mean such as 25.55 rounds a one-ulp difference away.
+_DRAWS = ("sample_chain(ToleranceChain('z', [DimensionSpec('z', 0.0, 3.0, -3.0, 1.0)]), SigmaRule.it6(), 2**17, 7)"
+          ".fc_samples")
+
+# Runs the cases given on stdin in the working directory and prints each case's digests and the draws' digest.
+_CHILD = f"""
+import contextlib, hashlib, io, json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from tolchain import DimensionSpec, SigmaRule, ToleranceChain, sample_chain
+from tolchain.cli import main
+disabled, cases = json.load(sys.stdin)
+assert not any(__cpu_features__[target] for target in disabled), "NPY_DISABLE_CPU_FEATURES was not applied"
+digests = {{}}
+for case, (argv, names) in cases.items():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0, case
+    digests[case] = {{name: hashlib.sha256(out.getvalue().encode("utf-8") if name == "-" else open(name, "rb").read())
+                     .hexdigest() for name in names}}
+print(json.dumps([digests, hashlib.sha256({_DRAWS}.tobytes()).hexdigest()]))
+"""
+
+
+@pytest.mark.skipif("X86_V3" not in DISPATCH, reason=f"numpy has no x86-64 dispatch targets here, only {DISPATCH}")
+@pytest.mark.parametrize("level", ["X86_V2", "X86_V3"])
+def test_outputs_match_pinned_hashes_at_each_dispatch_level(actuator_file, level):
+    # x86-64-v2 is numpy's baseline, so disabling every dispatch target leaves it; v3 keeps X86_V3 alone.
+    disabled = [target for target in DISPATCH if target != level]
+    src = str(Path(tolchain.__file__).parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cases = {case: (argv, list(expected)) for case, (argv, expected) in CASES.items()}
+    proc = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps([disabled, cases]), capture_output=True,
+                          text=True, env=env, cwd=actuator_file.parent, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    draws = eval(_DRAWS)  # in this process, at the level numpy picked for this CPU
+    expected = {case: expected for case, (_, expected) in CASES.items()}
+    assert json.loads(proc.stdout) == [expected, hashlib.sha256(draws.tobytes()).hexdigest()]

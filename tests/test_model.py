@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from tolchain import (
     parse_chain,
     serialize_chain,
 )
+from tolchain.model import MAX_COUNT, SAMPLING_RULES, check
 
 from conftest import ACTUATOR_DOC
 from strategies import chains
@@ -165,6 +168,37 @@ class TestIntervalResult:
     def test_degenerate_ok(self):
         r = IntervalResult(3.0, 3.0, 0.0)
         assert r.min == r.max == 3.0
+
+
+class TestParameterRules:
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [("coverage_sigmas", 10**400, "coverage_sigmas must be finite and > 0, got an integer of 1329 bits"),
+         ("target_scrap", -(2**1024), "target_scrap must lie in (0, 1), got an integer of 1025 bits"),
+         ("adjustment_factor", Fraction(10**400, 3), "adjustment_factor must lie in (0, 1), got a number of 1328 bits"),
+         ("seed", 10**5000, "seed must be an unsigned 64-bit integer, got an integer of 16610 bits"),
+         ("samples", -(10**400), f"sample count must lie in [1, {MAX_COUNT}], got an integer of 1329 bits")],
+        ids=["coverage-1e400", "target-scrap--2**1024", "adjustment-factor-fraction", "seed-1e5000", "samples--1e400"],
+    )
+    def test_a_number_beyond_a_double_is_named_by_its_length(self, name, value, message):
+        # Not passed as finite, and not printed: past 4300 digits an integer's repr raises.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(name, value)
+
+    @pytest.mark.parametrize("name", SAMPLING_RULES)
+    def test_every_rule_names_its_parameter_beyond_a_double(self, name):
+        subject = re.escape(SAMPLING_RULES[name][2].split(" must ")[0])
+        with pytest.raises(ValueError, match=f"^--flag: {subject} must .*, got an integer of 1329 bits$"):
+            check(name, 10**400, "--flag: ")
+
+    def test_max_count_is_the_longest_array_numpy_can_address(self):
+        assert MAX_COUNT == sys.maxsize // 8
+        with pytest.raises(ValueError, match="array is too big"):  # refused before anything is allocated
+            np.empty(MAX_COUNT + 1)
+        check("samples", MAX_COUNT)
+        check("bins", MAX_COUNT - 1)  # its histogram has MAX_COUNT edges
+        with pytest.raises(ValueError, match=rf"^bin count must lie in \[1, {MAX_COUNT - 1}\], got {MAX_COUNT}$"):
+            check("bins", MAX_COUNT)
 
 
 def test_conformity_status_values_are_stable():

@@ -103,6 +103,8 @@ class TestSigmaRule:
             (True, "explicit sigma for 'a' must be a real number, got True"),
             (None, "explicit sigma for 'a' must be a real number, got None"),
             (1j, "explicit sigma for 'a' must be a real number, got 1j"),
+            pytest.param(10**400, "explicit sigma for 'a' must be finite and >= 0, got an integer of 1329 bits",
+                         id="1e400"),
         ],
     )
     def test_bad_explicit_sigma_rejected(self, sigma, message):
@@ -155,11 +157,15 @@ class TestDeriveDistribution:
         "mean, sigma, message",
         [(math.inf, 1.0, "distribution parameters must be finite"),
          (0.0, math.nan, "distribution parameters must be finite"),
-         (0.0, -0.1, "sigma must be >= 0, got -0.1")],
-        ids=["inf-mean", "nan-sigma", "negative-sigma"],
+         (0.0, -0.1, "sigma must be >= 0, got -0.1"),
+         (10**400, 1.0, "mean must be finite, got an integer of 1329 bits"),
+         (0.0, -(2**1024), "sigma must be finite, got an integer of 1025 bits"),
+         ("a", 1.0, "mean must be a real number, got 'a'"),
+         (0.0, None, "sigma must be a real number, got None")],
+        ids=["inf-mean", "nan-sigma", "negative-sigma", "1e400-mean", "-2**1024-sigma", "str-mean", "none-sigma"],
     )
     def test_params_are_checked(self, mean, sigma, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DistributionParams(mean, sigma)
 
 
@@ -593,6 +599,12 @@ class TestStatisticalInterval:
     def test_infinite_coverage_is_blamed(self, samples):
         with pytest.raises(ValueError, match="coverage_sigmas must be finite"):
             statistical_interval(samples, math.inf)
+
+    @pytest.mark.parametrize("samples", [[1.0, 2.0], [1.0, 1.0]], ids=["spread", "constant"])
+    def test_coverage_beyond_a_double_is_named_by_its_length(self, samples):
+        message = "coverage_sigmas must be finite and > 0, got an integer of 1329 bits"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            statistical_interval(samples, 10**400)
 
     @pytest.mark.parametrize("samples", [[1.0, 2.0], [1.0, 1.0]], ids=["spread", "constant"])
     def test_overflowing_coverage_is_blamed(self, samples):

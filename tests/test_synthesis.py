@@ -12,7 +12,7 @@ from scipy.special import ndtri
 
 from conftest import make_actuator_chain
 from tolchain import montecarlo, synthesis
-from tolchain.model import MAX_SEED
+from tolchain.model import MAX_COUNT, MAX_SEED
 from tolchain import (
     ChainValidationError,
     DimensionSpec,
@@ -350,7 +350,8 @@ class TestSynthesisConfig:
             ({"target_scrap": 0.0}, "target_scrap must lie in (0, 1), got 0.0"),
             ({"target_scrap": 1.0}, "target_scrap must lie in (0, 1), got 1.0"),
             ({"target_scrap": math.nan}, "target_scrap must lie in (0, 1), got nan"),
-            ({"target_scrap": 0.01, "n_per_iteration": 0}, "n_per_iteration: sample count must be >= 1, got 0"),
+            ({"target_scrap": 0.01, "n_per_iteration": 0},
+             f"n_per_iteration: sample count must lie in [1, {MAX_COUNT}], got 0"),
             ({"target_scrap": 0.01, "seed": -1}, "seed must be an unsigned 64-bit integer, got -1"),
             ({"target_scrap": 0.01, "seed": 2**64}, f"seed must be an unsigned 64-bit integer, got {2**64}"),
             ({"target_scrap": 0.01, "max_iterations": 0}, "max_iterations must be >= 1, got 0"),
@@ -371,6 +372,12 @@ class TestSynthesisConfig:
             ({"target_scrap": 0.01, "frozen": 3}, "frozen must be a collection of dimension names, got 3"),
             ({"target_scrap": 0.01, "frozen": [["a"]]}, "frozen must hold dimension names as strings, got ['a']"),
             ({"target_scrap": 0.01, "frozen": ["zz", 1]}, "frozen must hold dimension names as strings, got 1"),
+            ({"target_scrap": 0.01, "n_per_iteration": MAX_COUNT + 1},
+             f"n_per_iteration: sample count must lie in [1, {MAX_COUNT}], got {MAX_COUNT + 1}"),
+            ({"target_scrap": 0.01, "tolerance_band": 10**400},
+             "tolerance_band must be finite and >= 0, got an integer of 1329 bits"),
+            ({"target_scrap": 0.01, "seed": 10**5000},
+             "seed must be an unsigned 64-bit integer, got an integer of 16610 bits"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, message):
