@@ -8,8 +8,8 @@ scrap rate meets a target (synthesis). A CLI exposes the same operations on
 JSON chain files.
 
 The public names are those in the ``__all__`` of the submodules below. They
-are looked up on first access, so importing the package loads neither numpy
-nor scipy until a Monte Carlo or synthesis name is used.
+are looked up on first access, so importing the package loads no numpy until
+a Monte Carlo or synthesis name is used, and nothing loads scipy.
 """
 
 from __future__ import annotations

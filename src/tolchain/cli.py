@@ -236,8 +236,8 @@ def run(cfg: RunConfig) -> int:
         report["result"] = {"dimension": asdict(solved), "it": solved.it}
 
     elif cfg.command == "simulate":
-        # Imported here so that the worst-case commands never load numpy or
-        # scipy; names are looked up on the module at each call.
+        # Imported here so that the worst-case commands never load numpy; names
+        # are looked up on the module at each call.
         from . import montecarlo
 
         rule = montecarlo.SigmaRule(cfg.sigma_rule)

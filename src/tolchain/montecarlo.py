@@ -21,7 +21,6 @@ from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtr, ndtri
 
 from .model import (
     DEFAULTS,
@@ -180,24 +179,167 @@ def _stream(seed: int, index: int, start: int) -> Generator:
     return stream
 
 
-def _to_normal(uniforms: np.ndarray, sigma: float | np.ndarray, mean: float | np.ndarray) -> np.ndarray:
-    """The normal draws of ``uniforms``, each word's top 53 bits times 2**-53, in place. ``sigma`` and ``mean``
-    are numbers or, for the rows of ``uniforms``, columns."""
+# The inverse of the standard normal CDF, by cephes' ndtri (S. L. Moshier, Methods
+# and Programs for Mathematical Functions, 1989), which scipy.special.ndtri still
+# implements. On the central region e**-2 < y <= 1 - e**-2 it is a rational
+# function of (y - 0.5)**2, by cephes' own steps, so its bits are scipy's. In
+# either tail it takes x = sqrt(-2 log y') of the nearer tail y' and returns
+# +/-(x - log(x)/x - r(1/x)), r rational, one for x < 8 and one beyond. Their log
+# is fdlibm's, built of IEEE +, -, *, / and frexp. These and sqrt round alike on
+# every host, so no bit follows numpy's SIMD dispatch or the platform's libm.
+_E2 = 0.13533528323661269189  # e**-2
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+# cephes' P0 and Q0 for the central region; each Q leads with an implied 1.0.
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1, 1.59056225126211695515e1, -1.18331621121330003142e0)
+# P1 and Q1 for 2 <= x < 8, that is y' down to e**-32.
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0, -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1, -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# P2 and Q2 for x >= 8.
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0, 1.33303460815807542389e0,
+       2.01485389549179081538e-1, 1.23716634817820021358e-2, 3.01581553508235416007e-4, 2.65806974686737550832e-6,
+       6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0, 2.16236993594496635890e-1,
+       1.34204006088543189037e-2, 3.28014464682127739104e-4, 2.89247864745380683936e-6, 6.79019408009981274425e-9)
+# fdlibm's ln 2, split so that k * _LN2_HI is exact, and its Lg7 ... Lg1.
+_LN2_HI, _LN2_LO = float.fromhex("0x1.62e42feep-1"), float.fromhex("0x1.a39ef35793c76p-33")
+_LG = tuple(map(float.fromhex, ("0x1.2f112df3e5244p-3", "0x1.39a09d078c69fp-3", "0x1.7466496cb03dep-3",
+                                "0x1.c71c51d8e78afp-3", "0x1.2492494229359p-2", "0x1.999999997fa04p-2",
+                                "0x1.5555555555593p-1")))
+# Rows per block of the transform, at most. Its scratch takes 40 bytes a row, so
+# sample_chain's one scratch is 1 MB, beside its two arrays of n; fewer rows
+# would pay numpy's cost per call more often.
+_NDTRI_ROWS = 24576
+
+
+def _rational(x: np.ndarray, num: np.ndarray, den: np.ndarray, p: tuple[float, ...], q: tuple[float, ...]
+              ) -> np.ndarray:
+    """``x * polevl(x, p) / p1evl(x, q)`` into ``num``, by cephes' own steps: polevl is Horner's rule on ``p``,
+    and p1evl the same on ``q`` after an implied leading 1.0. ``den`` is a work array."""
+    np.multiply(x, p[0], out=num)
+    num += p[1]
+    for c in p[2:]:
+        num *= x
+        num += c
+    np.add(x, q[0], out=den)
+    for c in q[1:]:
+        den *= x
+        den += c
+    num *= x
+    num /= den
+    return num
+
+
+def _scratch(rows: int) -> np.ndarray:
+    """Work rows for ``_ndtri`` in blocks of up to ``rows`` rows, at least one."""
+    return np.empty((5, max(1, rows)))
+
+
+def _log(v: np.ndarray, work: np.ndarray) -> None:
+    """The natural log of each positive normal double of ``v``, in place, as fdlibm's ``__ieee754_log`` takes it
+    (within 1 ulp): ``v = 2**k (1 + f)`` with ``sqrt(1/2) <= 1 + f < sqrt(2)``, ``s = f / (2 + f)``, and
+    ``log(1 + f) = f - (f*f/2 - s (f*f/2 + R(s*s)))``, R a polynomial. ``work`` is three rows of ``v``'s size."""
+    s, z, r = work
+    _, k = np.frexp(v, out=(v, np.empty(v.size, dtype=np.intc)))  # v in [0.5, 1)
+    small = v < math.sqrt(0.5)
+    np.ldexp(v, small, out=v)
+    k -= small
+    v -= 1.0  # f, exactly
+    np.add(v, 2.0, out=s)
+    np.divide(v, s, out=s)
+    np.multiply(s, s, out=z)
+    np.multiply(z, _LG[0], out=r)
+    for c in _LG[1:]:
+        r += c
+        r *= z
+    np.multiply(v, v, out=z)
+    z *= 0.5  # f*f/2
+    r += z
+    r *= s
+    np.multiply(k, _LN2_LO, out=s)
+    r += s
+    np.subtract(z, r, out=z)
+    z -= v
+    np.multiply(k, _LN2_HI, out=v)
+    v -= z
+
+
+def _ndtri(y: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """cephes' ``ndtri`` of each element of the 1-D ``y``, which lie in [2**-54, 1 - 2**-52], in place, in blocks
+    of the rows of ``scratch``, from ``_scratch`` (by default, one of up to ``_NDTRI_ROWS``)."""
+    if scratch is None:
+        scratch = _scratch(min(y.size, _NDTRI_ROWS))
+    rows = scratch.shape[1]
+    for first in range(0, y.size, rows):
+        _ndtri_block(y[first:first + rows], scratch)
+    return y
+
+
+def _ndtri_block(y: np.ndarray, scratch: np.ndarray) -> None:
+    """``_ndtri`` of one block. The tails' rows are gathered into the scratch and run there; the central
+    function then runs on every row, and the tails' results are put back over it."""
+    index = np.flatnonzero((y <= _E2) | (y > 1.0 - _E2))
+    # The tails, on their rows alone: x = sqrt(-2 log y') of the nearer tail y',
+    # then x - log(x)/x - r(1/x), and the sign of y - 0.5.
+    x, *work = scratch[:, :index.size]
+    np.take(y, index, out=x)
+    upper = x > 0.5
+    np.subtract(1.0, x, out=work[0])
+    np.minimum(x, work[0], out=x)  # y', exactly
+    _log(x, work[:3])
+    x *= -2.0
+    np.sqrt(x, out=x)
+    far = np.flatnonzero(x >= 8.0)
+    log_x, inverse = work[:2]
+    np.copyto(log_x, x)
+    _log(log_x, work[1:])
+    log_x /= x
+    np.divide(1.0, x, out=inverse)
+    x -= log_x
+    ratio = _rational(inverse, *work[2:], _P1, _Q1)
+    if far.size:  # y' below e**-32, so rarely drawn
+        ratio[far] = _rational(inverse[far], *np.empty((2, far.size)), _P2, _Q2)
+    x -= ratio
+    np.subtract(upper, 0.5, out=work[0])
+    np.copysign(x, work[0], out=x)
+
+    # The central function, on every row: (y + y r(y*y)) sqrt(2 pi), y taken less 0.5.
+    y -= 0.5
+    square, num, den = scratch[1:4, :y.size]
+    np.multiply(y, y, out=square)
+    ratio = _rational(square, num, den, _P0, _Q0)
+    ratio *= y
+    y += ratio
+    y *= _S2PI
+    y[index] = x
+
+
+def _to_normal(uniforms: np.ndarray, sigma: float | np.ndarray, mean: float | np.ndarray,
+               scratch: np.ndarray | None = None) -> np.ndarray:
+    """The normal draws of ``uniforms``, each word's top 53 bits times 2**-53, in place, through ``_ndtri`` on
+    ``scratch``. ``uniforms`` is contiguous in C or Fortran order. ``sigma`` and ``mean`` are numbers or, for the
+    rows of ``uniforms``, columns."""
     # Capped at 1 - 2**-52 and centered, the uniform lies in [2**-54, 1 - 2**-52],
     # so the inverse CDF below stays finite. (Uncapped, the top word's
     # 1 - 2**-53 + 2**-54 would round to 1.) With top the word's top 53 bits,
     # this rounds as mean + sigma * ndtri((top + 0.5) * 2**-53).
     np.minimum(uniforms, 1.0 - 2.0**-52, out=uniforms)
     uniforms += 2.0**-54
-    ndtri(uniforms, out=uniforms)
+    _ndtri(uniforms.ravel(order="K"), scratch)  # a view, in memory order
     uniforms *= sigma
     uniforms += mean
     return uniforms
 
 
-def _normal_chunk(seed: int, index: int, params: DistributionParams, start: int, out: np.ndarray) -> np.ndarray:
-    """Fills ``out`` with draws [start, start+out.size) of stream ``index``."""
-    return _to_normal(_stream(seed, index, start).random(out=out), params.sigma, params.mean)
+def _normal_chunk(seed: int, index: int, params: DistributionParams, start: int, out: np.ndarray,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
+    """Fills ``out`` with draws [start, start+out.size) of stream ``index``, through ``_ndtri`` on ``scratch``."""
+    return _to_normal(_stream(seed, index, start).random(out=out), params.sigma, params.mean, scratch)
 
 
 class _Columns(Mapping[str, np.ndarray]):
@@ -208,11 +350,14 @@ class _Columns(Mapping[str, np.ndarray]):
 
     def rows(self, start: int, count: int) -> list[np.ndarray]:
         """Rows [start, start+count) of every column."""
-        return [_normal_chunk(self._seed, i, p, start, np.empty(count)) for i, _, p in self._streams.values()]
+        scratch = _scratch(min(count, _NDTRI_ROWS))
+        return [_normal_chunk(self._seed, i, p, start, np.empty(count), scratch) for i, _, p in self._streams.values()]
 
     def __getitem__(self, name: str) -> np.ndarray:
         index, _, params = self._streams[name]
-        column = _normal_chunk(self._seed, index, params, 0, np.empty(self._n))
+        # A scratch of n/256 rows (at least 512) holds about 2% of the column's bytes.
+        scratch = _scratch(min(self._n, _NDTRI_ROWS, max(512, self._n // 256)))
+        column = _normal_chunk(self._seed, index, params, 0, np.empty(self._n), scratch)
         column.setflags(write=False)
         return column
 
@@ -230,18 +375,19 @@ def sample_chain(
 
     Dimension ``i`` uses its own Philox stream keyed by ``(seed, i)``; sample
     ``k`` always consumes word ``k`` of that stream. ``workers`` only controls
-    how many threads evaluate chunks; the output is bit-identical for any
-    worker count. Each dimension is drawn into one reused buffer, whose
-    moments are then taken in place, so peak memory is about two arrays of
-    ``n`` doubles for any dimension count. A chain whose worst case overflows
-    raises ``ChainValidationError`` before anything is drawn.
+    how many threads draw the chunks' uniforms; the output is bit-identical
+    for any worker count. Each dimension is drawn into one reused buffer,
+    transformed there block by block, and its moments are then taken in place,
+    so peak memory is about two arrays of ``n`` doubles for any dimension
+    count. A chain whose worst case overflows raises ``ChainValidationError``
+    before anything is drawn.
 
     Args:
         chain: the chain to realize.
         rule: tolerance-to-sigma mapping for every dimension.
         n: number of realizations, >= 1.
         seed: 64-bit unsigned stream selector.
-        workers: thread count for chunk evaluation (>= 1), capped at and by default the usable cores.
+        workers: thread count for drawing uniforms (>= 1), capped at and by default the usable cores.
     """
     check("samples", n)
     check("seed", seed)
@@ -249,9 +395,11 @@ def sample_chain(
         streams = _streams(chain, rule)
         fc = np.zeros(n, dtype=np.float64)
         buf = np.empty(n, dtype=np.float64)
+        scratch = _scratch(min(n, _NDTRI_ROWS))
         moments: dict[str, tuple[float, float]] = {}
-        for name, stream in streams.items():
-            run(partial(_add_draws, fc, seed, stream, buf))
+        for name, (index, coefficient, params) in streams.items():
+            run(partial(_draw_uniforms, seed, index, buf))
+            _add_draws(fc, coefficient, params, buf, scratch)
             moments[name] = _moments_in_place(buf, f" of dimension {name!r}")
     fc.setflags(write=False)
 
@@ -281,13 +429,27 @@ def _streams(chain: ToleranceChain, rule: SigmaRule) -> dict[str, tuple[int, flo
     return {d.name: (i, d.coefficient, derive_distribution(d, rule)) for i, d in enumerate(chain.dimensions)}
 
 
-def _add_draws(fc: np.ndarray, seed: int, stream: tuple[int, float, DistributionParams], keep: np.ndarray,
-               start: int, stop: int) -> None:
-    """``fc += coefficient * draws`` on rows [start, stop), drawn into those rows of ``keep``. Elementwise, so the
-    chunking changes no bit."""
-    index, coefficient, params = stream
-    out = fc[start:stop]
-    out += coefficient * _normal_chunk(seed, index, params, start, keep[start:stop])
+def _draw_uniforms(seed: int, index: int, out: np.ndarray, start: int, stop: int) -> None:
+    """Uniforms [start, stop) of stream ``index``, into those rows of ``out``."""
+    _stream(seed, index, start).random(out=out[start:stop])
+
+
+def _add_draws(fc: np.ndarray, coefficient: float, params: DistributionParams, draws: np.ndarray,
+               scratch: np.ndarray) -> None:
+    """Turns the uniforms ``draws`` into normal draws in place and adds ``coefficient * draws`` to ``fc``, block
+    by block through ``scratch``, so that nothing else of their size is allocated. Elementwise, so the blocks
+    change no bit.
+
+    This runs in the calling thread. numpy frees the interpreter lock around
+    each of the transform's passes, which are short, so two threads running
+    them at once hand the lock back and forth: on 2 cores, sample_chain took
+    1.1-1.3 s on 16 dimensions at n = 1e6 with the transform in two threads,
+    and 0.7-0.9 s with it in one."""
+    product = scratch[0]
+    for first in range(0, draws.size, product.size):
+        block = _to_normal(draws[first:first + product.size], params.sigma, params.mean, scratch)
+        out = fc[first:first + block.size]
+        out += np.multiply(coefficient, block, out=product[:block.size])
 
 
 def statistical_interval(
@@ -380,9 +542,12 @@ _COUNT_ROWS = 16384
 def _bracket() -> np.ndarray:
     """Row b: bounds on ndtri of every value _to_normal passes it from a uniform whose top 12 bits are b. Built
     on first use, so that only synthesis holds it."""
-    # Bucket b's uniforms lie in [b/4096, (b+1)/4096), and _to_normal is monotone,
-    # so it maps those two ends to bounds on the bucket's draws. Each edge is
-    # widened by 1e-12 relative, about 2000 times cephes' documented peak error.
+    # Bucket b's uniforms lie in [b/4096, (b+1)/4096), and _to_normal is monotone
+    # up to its error, so it maps those two ends to bounds on the bucket's draws.
+    # _ndtri's central bits are scipy's, its tails lie within 6 ulps of scipy's
+    # (tested), and cephes documents scipy's peak error as 7.2e-16, so a draw is
+    # within about 2e-15 relative of the true quantile and falls out of order by
+    # less than 4e-15. Each edge is widened by 1e-12 relative, 250 times that.
     edges = _to_normal(np.append(np.arange(4096) / 4096, 1.0), 1.0, 0.0)
     bracket = np.stack([edges[:-1] - np.abs(edges[:-1]) * 1e-12, edges[1:] + np.abs(edges[1:]) * 1e-12], axis=1)
     bracket.setflags(write=False)
@@ -457,10 +622,12 @@ def _count_rows(seed: int, tables: list[np.ndarray], columns: np.ndarray, bounds
 def analytic_scrap(chain: ToleranceChain, rule: SigmaRule) -> float:
     """Exact out-of-bounds probability under the propagated normal model.
 
-    Computes Phi((min - mu)/sigma) + 1 - Phi((max - mu)/sigma) with the
-    machine-accurate normal CDF; an absent bound, read as -inf or +inf,
-    contributes exactly 0. A zero-sigma chain is a point mass: scrap is 0
-    or 1 depending on whether the mean sits inside the (closed) bounds.
+    Computes Phi((min - mu)/sigma) + 1 - Phi((max - mu)/sigma), each tail as
+    0.5 * erfc(distance / sigma / sqrt(2)) of the bound's distance beyond the
+    mean, so that neither tail cancels and a chain and its mirror image agree;
+    an absent bound, read as -inf or +inf, contributes exactly 0. A zero-sigma
+    chain is a point mass: scrap is 0 or 1 depending on whether the mean sits
+    inside the (closed) bounds.
     """
     condition = chain.condition
     if condition is None or not condition.is_bounded:
@@ -469,7 +636,8 @@ def analytic_scrap(chain: ToleranceChain, rule: SigmaRule) -> float:
     params = propagate_analytic(chain, rule)
     if params.sigma == 0.0:
         return float(params.mean < low) + float(params.mean > high)
-    return float(ndtr((low - params.mean) / params.sigma)) + float(1.0 - ndtr((high - params.mean) / params.sigma))
+    return sum(0.5 * math.erfc(distance / params.sigma / math.sqrt(2.0))
+               for distance in (params.mean - low, high - params.mean))
 
 
 # --- exports -----------------------------------------------------------------

@@ -28,7 +28,7 @@ EXPORT = ["simulate", *CHAIN, "--samples", "70000", "--seed", "7", "--bins", "20
 
 # The report and the two exports written next to it.
 EXPORT_HASHES = {
-    "r.json": "0869d72d73d2bc577a01e57b24240dd6147f816b3a4bf73e4adc7b374b04de57",
+    "r.json": "79d0544ef72dcdeace33acb5ad8d3bb528d29b8a8c94ef1f14269fe48d7084dd",
     "r.samples.csv": "2c18d6b5a758391e6df33fe463c35eaa59e889a9c6272053dd351dfb831b7eb2",
     "r.hist.csv": "e1073209c393951f02ad811bcd10e2acaf86f75144fabf2937ce12f285e80074",
 }
@@ -62,7 +62,7 @@ CASES = {
     ),
     "simulate-stdout": (
         ["simulate", *CHAIN],
-        {"-": "dd731c8ef4776b17ebef05fb438b6864b3bdd91673bed4f1873a84dd069d1cb4"},
+        {"-": "034f766b8fee787947bf44dd423d8f6a16c144b59aa300df1202672263e7ab7e"},
     ),
     "simulate-output-w1": ([*EXPORT, "--workers", "1"], EXPORT_HASHES),
     "simulate-output-w2": ([*EXPORT, "--workers", "2"], EXPORT_HASHES),
@@ -71,7 +71,7 @@ CASES = {
     "simulate-output-odd-w3": (
         ["simulate", *CHAIN, "--samples", "65541", "--seed", "7", "--workers", "3", "--output", "r.json"],
         {
-            "r.json": "fbb3d6d2c1a384c26d07a2aab7a0203c60d9012f85622f88da8c2bf81d1b54e1",
+            "r.json": "e5771245741e59e192ccbce2f3d9ed1f651a06f76080100c2c8d3bef2721ffe1",
             "r.samples.csv": "943ddc9d1a7cbbafd436086178ef598c5b1c3e1895cff84cf5d82df72ab00816",
             "r.hist.csv": "622f5eac5c3dbe4b8b7a17399c46c182ac49d3fbfcfe8249c22b7fb7c1caf28e",
         },
@@ -80,7 +80,7 @@ CASES = {
     "simulate-output-block-end": (
         ["simulate", *CHAIN, "--samples", "8192", "--seed", "7", "--workers", "1", "--output", "r.json"],
         {
-            "r.json": "2f01a272b410ce995d9b16a0f30ca7c03f65c010b77623b62449227ab7956453",
+            "r.json": "33b8b6cd3bb3df3c7a096d9a4b21d4fe64891f22d455dd880dca1f6bc440d9ff",
             "r.samples.csv": "c993019fdb4fc9a51ab4b4a01d8a305c33c63f29c9b2f898793d7fe1aaad60e4",
             "r.hist.csv": "aa4a6981bf42353dbe4e6cad87751c37d92ddc6196dab9aad1f46ccbc42a6ffb",
         },
@@ -92,7 +92,7 @@ CASES = {
             "--output", "r.json", "--format", "csv",
         ],
         {
-            "r.json": "5e8ac63c0d48ab2ad6931922c31af2458fac5be2369a73726db3e33c3176d108",
+            "r.json": "aa0a1b1618adad82902a07e49052ab2abd61d5b89d851370716e9628b3e54642",
             "r.samples.csv": "35518df8d0d7e3612750ae679d6feec1b3d1842b18ab12391289c40e4594af11",
             "r.hist.csv": "83865875ec905fb2307ce3d792874a015e3f43f4bc0c16b4f6fcf2407e11a5c1",
         },

@@ -1,4 +1,4 @@
-"""Import graph: the worst-case path stays free of the sampling stack and of OpenSSL."""
+"""Import graph: the worst-case path stays free of the sampling stack and of OpenSSL, and nothing loads scipy."""
 
 import hashlib
 import json
@@ -41,12 +41,14 @@ def _run(script, argv=()):
         (["analyze"], []),
         (["verify"], []),
         (["solve", "--unknown", "a1"], []),
-        # numpy.random loads OpenSSL through secrets and hmac.
-        (["simulate", "--samples", "100"], ["numpy", "scipy", "_hashlib"]),
+        # numpy.random loads OpenSSL through secrets and hmac; the sampler's own
+        # inverse normal CDF needs no scipy.
+        (["simulate", "--samples", "100"], ["numpy", "_hashlib"]),
+        (["synthesize", "--samples", "1000", "--target-scrap", "0.05"], ["numpy", "_hashlib"]),
     ],
-    ids=["analyze", "verify", "solve", "simulate"],
+    ids=["analyze", "verify", "solve", "simulate", "synthesize"],
 )
-def test_only_sampling_commands_load_numpy_scipy_and_openssl(actuator_file, tmp_path, argv, loaded):
+def test_only_sampling_commands_load_numpy_and_openssl(actuator_file, tmp_path, argv, loaded):
     result = _run(_PROBE, [*argv, "--chain", str(actuator_file), "--output", str(tmp_path / "r.json")])
     assert result == {"code": 0, "loaded": loaded}
 
@@ -65,6 +67,12 @@ print(json.dumps({"code": code, "openssl": "_hashlib" in sys.modules}))
     assert result == {"code": 0, "openssl": True}
     expected = hashlib.sha256(actuator_file.read_bytes()).hexdigest()
     assert json.loads(report.read_text())["chain_sha256"] == expected
+
+
+def test_sampler_loads_no_scipy():
+    script = "import json, sys\nimport tolchain.montecarlo, tolchain.synthesis\nprint(json.dumps(sorted(sys.modules)))"
+    loaded = set(_run(script))
+    assert "numpy" in loaded and "scipy" not in loaded
 
 
 def test_respecify_and_worst_case_load_no_sampling_stack():

@@ -11,7 +11,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 from numpy.random import Philox
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from conftest import traced_peak
 from oracles import recompute_fc, reference_samples_csv, whole_draw_scrap
@@ -434,22 +434,23 @@ class TestSampleChain:
 
     def test_memory_is_bounded_for_many_dimensions(self):
         # 16 dimensions: holding every column would trace about 19 arrays of n
-        # doubles. The sampler holds fc, one buffer and a chunk-sized product
-        # per thread (here a quarter of n each); batch_summary's fc moments then
-        # take a copy of fc.
+        # doubles. The sampler holds fc, one buffer and the transform's scratch
+        # (1 MB, here 0.6 of an array); batch_summary's fc moments then take a
+        # copy of fc.
         chain, n = wide_chain(), 200_000
         peak = traced_peak(lambda: batch_summary(chain, sample_chain(chain, IT6, n, 3, workers=2), IT6))
         assert peak <= 3 * 8 * n
 
     def test_sampler_holds_two_arrays_of_n(self):
-        # fc and the reused buffer, whose moments are taken in place, plus a
-        # 62500-sample product per thread: about 2.13 arrays of n doubles.
+        # fc and the reused buffer, whose moments are taken in place, plus the
+        # transform's 1 MB scratch: about 2.15 arrays of n doubles.
         chain, n = wide_chain(), 1_000_000
         peak = traced_peak(lambda: sample_chain(chain, IT6, n, 3, workers=2))
         assert peak <= 2.5 * 8 * n
 
     def test_column_redraw_holds_one_array_of_n(self, actuator_chain):
-        # The column is drawn and transformed in place, with no bits array beside it.
+        # The column is drawn and transformed in place, with no bits array beside
+        # it and a scratch of n/256 rows.
         n = 200_000
         batch = sample_chain(actuator_chain, IT6, n, 3, workers=1)
         assert traced_peak(lambda: batch.per_dimension["a3"]) <= 1.05 * 8 * n
@@ -522,7 +523,8 @@ class TestSampleChain:
         uniforms = np.array([(2**64 - 1) >> 11, (2**64 - 2**11 - 1) >> 11]) * 2.0**-53
         draws = montecarlo._to_normal(uniforms, 1.0, 0.0)
         assert math.isfinite(draws[0])
-        assert draws[0] == draws[1] == ndtri(1.0 - 2.0**-52)
+        assert draws[0] == draws[1] == montecarlo._ndtri(np.array([1.0 - 2.0**-52]))[0]
+        assert draws[0] == pytest.approx(ndtri(1.0 - 2.0**-52), rel=NDTRI_ULPS * 2.0**-52)
 
     def test_scrap_count_memory_does_not_grow_with_n(self, actuator_chain):
         # A job holds one block's uniforms, buckets and brackets, whatever n is;
@@ -554,6 +556,86 @@ class TestSampleChain:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^the samples of condition 'J' hold a NaN or an inf, or their spread"):
                 batch_summary(chain, batch, IT6)
+
+
+def ulps_apart(a, b):
+    """How many doubles lie between each element of ``a`` and of ``b``, both finite and of one sign."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def sampled(seed, index, size=2**20):
+    """``size`` uniforms of Philox stream ``index``, carried into (0, 1) as ``_to_normal`` carries them."""
+    y = montecarlo._stream(seed, index, 0).random(size)
+    np.minimum(y, 1.0 - 2.0**-52, out=y)
+    y += 2.0**-54
+    return y
+
+
+def tails(seed, index, size=2**20):
+    """Inputs of both tails, log-uniform over [2**-54, e**-2] and mirrored, from Philox stream ``index``."""
+    low = np.exp2(-54.0 + sampled(seed, index, size) * (54.0 + math.log2(montecarlo._E2)))
+    return np.concatenate([low, 1.0 - low[low >= 2.0**-52]])
+
+
+def consecutive(edge, count=1000):
+    """The ``count`` doubles below ``edge``, ``edge`` and the ``count`` above it."""
+    return (np.array([edge]).view(np.int64) + np.arange(-count, count + 1)).view(np.float64)
+
+
+# The transform's tails against scipy's: 6 ulps at most on 24 million tail
+# inputs; 8 leaves a last bit either way to scipy's libm log.
+NDTRI_ULPS = 8
+
+# Where the transform changes branch or its log's reduction: both ends of the
+# central region; y = e**-4, e**-8, e**-16 and e**-32, where x = sqrt(-2 log y),
+# the second log's argument, is 2 sqrt(2), 4, 4 sqrt(2) and 8 (binade edges and
+# sqrt(1/2) switches; the far tail starts at 8); and powers of 2 and their
+# sqrt(1/2) multiples, the first log's binade edges and switches.
+NDTRI_EDGES = [montecarlo._E2, 1.0 - montecarlo._E2, math.exp(-32.0), math.exp(-4.0), math.exp(-8.0),
+               math.exp(-16.0), 1.0 - math.exp(-4.0), 1.0 - math.exp(-16.0),
+               *(2.0**-k for k in (3, 4, 10, 30, 53)), *(math.sqrt(0.5) * 2.0**-k for k in (3, 4, 10, 30, 53)),
+               *(1.0 - 2.0**-k for k in (3, 4, 10, 30)), *(1.0 - math.sqrt(0.5) * 2.0**-k for k in (3, 4, 10, 30))]
+
+
+class TestNdtri:
+    def test_central_bits_equal_scipy(self):
+        y = sampled(7, 0)
+        central = (y > montecarlo._E2) & (y <= 1.0 - montecarlo._E2)
+        assert 0.7 < central.mean() < 0.76
+        assert np.array_equal(montecarlo._ndtri(y.copy())[central], ndtri(y[central]))
+
+    @pytest.mark.parametrize("inputs", ["sampled", "tails", "edges"])
+    def test_tails_lie_within_a_few_ulps_of_scipy(self, inputs):
+        y = {"sampled": lambda: sampled(7, 1), "tails": lambda: tails(7, 2),
+             "edges": lambda: np.concatenate([consecutive(edge) for edge in NDTRI_EDGES])}[inputs]()
+        assert ulps_apart(montecarlo._ndtri(y.copy()), ndtri(y)).max() <= NDTRI_ULPS
+
+    def test_is_monotone_over_sorted_inputs(self):
+        y = np.sort(np.concatenate([sampled(7, 3), tails(7, 4)]))
+        assert np.all(np.diff(montecarlo._ndtri(y)) >= 0.0)
+
+    @pytest.mark.parametrize("edge", NDTRI_EDGES)
+    def test_is_monotone_across_each_edge_up_to_its_error(self, edge):
+        # Consecutive doubles: scipy's own ndtri falls out of order by a few ulps
+        # here, and so may the port, but by no more than _bracket allows for.
+        # Doubles 4096 apart keep strict order.
+        y = consecutive(edge)
+        draws = montecarlo._ndtri(y.copy())
+        assert np.all(np.maximum.accumulate(draws) - draws <= 4e-15 * np.abs(draws))
+        coarse = (np.array([edge]).view(np.int64) + np.arange(-1000, 1001) * 2**12).view(np.float64)
+        assert np.all(np.diff(montecarlo._ndtri(coarse)) > 0.0)
+
+    def test_is_finite_at_both_ends_of_the_domain(self):
+        ends = np.array([2.0**-54, 1.0 - 2.0**-52 + 2.0**-54])
+        draws = montecarlo._ndtri(ends.copy())
+        assert np.all(np.isfinite(draws))
+        assert draws[0] < -8.0 < 8.0 < draws[1]
+        assert ulps_apart(draws, ndtri(ends)).max() <= NDTRI_ULPS
+
+    @pytest.mark.parametrize("rows", [3, 7, 1024])
+    def test_blocks_change_no_bit(self, rows):
+        y = sampled(7, 5, 3000)
+        assert np.array_equal(montecarlo._ndtri(y.copy(), montecarlo._scratch(rows)), montecarlo._ndtri(y.copy()))
 
 
 class TestStatisticalInterval:
@@ -700,9 +782,26 @@ class TestAnalyticScrap:
         half = analytic_scrap(max_only, IT6)
         assert half == pytest.approx(0.0026998 / 2.0, abs=1e-7)
         # Exactly the one-sided tail: the absent bound's, at -inf or +inf, adds 0.0.
-        assert half == float(1.0 - ndtr((0.3 - params.mean) / params.sigma))
+        assert half == 0.5 * math.erfc((0.3 - params.mean) / params.sigma / math.sqrt(2.0))
         min_only = replace(chain, condition=FunctionalCondition("J", imposed_min=-0.3))
-        assert analytic_scrap(min_only, IT6) == float(ndtr((-0.3 - params.mean) / params.sigma))
+        assert analytic_scrap(min_only, IT6) == 0.5 * math.erfc((params.mean + 0.3) / params.sigma / math.sqrt(2.0))
+
+    def test_far_tails_do_not_cancel(self):
+        # Mean 0 and sigma 1, so the bound at 9 is 9 sigma out: Q(9) is 1.1285884059538e-19,
+        # where 1 - Phi(9) in doubles is 0.0.
+        upper = one_dim_chain(0.0, 3.0, -3.0, bounds=(None, 9.0))
+        assert analytic_scrap(upper, IT6) == pytest.approx(1.1285884059538e-19, rel=1e-13)
+        lower = one_dim_chain(0.0, 3.0, -3.0, bounds=(-9.0, None))
+        assert analytic_scrap(lower, IT6) == analytic_scrap(upper, IT6)
+
+    @pytest.mark.parametrize("bounds", [(10.0, 11.16), (None, 11.9), (9.0, None), (10.5, 10.9)])
+    def test_a_chain_and_its_mirror_agree(self, actuator_chain, bounds):
+        chain = replace(actuator_chain, condition=FunctionalCondition("Ja", *bounds))
+        low, high = chain.condition.bounds
+        mirror = replace(chain, dimensions=tuple(replace(d, coefficient=-d.coefficient) for d in chain.dimensions),
+                         condition=FunctionalCondition("Ja", -high if high < math.inf else None,
+                                                       -low if low > -math.inf else None))
+        assert analytic_scrap(mirror, IT6) == analytic_scrap(chain, IT6)
 
     def test_point_mass(self):
         inside = one_dim_chain(5.0, 0.0, 0.0, bounds=(4.0, 6.0))
