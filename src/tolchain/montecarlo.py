@@ -336,28 +336,25 @@ def _to_normal(uniforms: np.ndarray, sigma: float | np.ndarray, mean: float | np
     return uniforms
 
 
-def _normal_chunk(seed: int, index: int, params: DistributionParams, start: int, out: np.ndarray,
-                  scratch: np.ndarray | None = None) -> np.ndarray:
-    """Fills ``out`` with draws [start, start+out.size) of stream ``index``, through ``_ndtri`` on ``scratch``."""
-    return _to_normal(_stream(seed, index, start).random(out=out), params.sigma, params.mean, scratch)
-
-
 class _Columns(Mapping[str, np.ndarray]):
     """Each dimension's samples, re-drawn from its Philox stream on every access."""
 
     def __init__(self, seed: int, n: int, streams: dict[str, tuple[int, float, DistributionParams]]) -> None:
         self._seed, self._n, self._streams = seed, n, streams
 
-    def rows(self, start: int, count: int) -> list[np.ndarray]:
-        """Rows [start, start+count) of every column."""
-        scratch = _scratch(min(count, _NDTRI_ROWS))
-        return [_normal_chunk(self._seed, i, p, start, np.empty(count), scratch) for i, _, p in self._streams.values()]
+    def rows(self, start: int, count: int) -> np.ndarray:
+        """Rows [start, start+count) of every column, one column a row, by one transform."""
+        drawn = np.empty((len(self._streams), count))
+        for (index, _, _), row in zip(self._streams.values(), drawn):
+            _stream(self._seed, index, start).random(out=row)
+        sigma, mean = np.array([(p.sigma, p.mean) for _, _, p in self._streams.values()]).T[:, :, None]
+        return _to_normal(drawn, sigma, mean)
 
     def __getitem__(self, name: str) -> np.ndarray:
         index, _, params = self._streams[name]
         # A scratch of n/256 rows (at least 512) holds about 2% of the column's bytes.
         scratch = _scratch(min(self._n, _NDTRI_ROWS, max(512, self._n // 256)))
-        column = _normal_chunk(self._seed, index, params, 0, np.empty(self._n), scratch)
+        column = _to_normal(_stream(self._seed, index, 0).random(self._n), params.sigma, params.mean, scratch)
         column.setflags(write=False)
         return column
 
@@ -398,7 +395,7 @@ def sample_chain(
         scratch = _scratch(min(n, _NDTRI_ROWS))
         moments: dict[str, tuple[float, float]] = {}
         for name, (index, coefficient, params) in streams.items():
-            run(partial(_draw_uniforms, seed, index, buf))
+            run(lambda start, stop: _stream(seed, index, start).random(out=buf[start:stop]))
             _add_draws(fc, coefficient, params, buf, scratch)
             moments[name] = _moments_in_place(buf, f" of dimension {name!r}")
     fc.setflags(write=False)
@@ -412,26 +409,21 @@ def sample_chain(
 def _chunk_jobs(n: int, workers: int) -> Iterator[Callable[[Callable], list]]:
     """``run``, where ``run(job)`` is ``[job(start, stop), ...]`` over [0, n) in order: equal chunks of at most
     _CHUNK rows, in a multiple of the thread count, run on a pool capped at the usable cores, or in the caller
-    at 1 worker."""
+    at one thread."""
     check("workers", workers)
     threads = min(workers, usable_cores())
     chunks = -(-n // _CHUNK)
     chunks += -chunks % threads
-    edges = [*range(0, n, -(-n // chunks)), int(n)]
-    with ThreadPoolExecutor(max_workers=threads) if workers > 1 else nullcontext() as pool:
+    step = -(-n // chunks)
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         apply = map if pool is None else pool.map
-        yield lambda job: list(apply(lambda span: job(*span), zip(edges, edges[1:])))
+        yield lambda job: list(apply(lambda start: job(start, min(start + step, n)), range(0, n, step)))
 
 
 def _streams(chain: ToleranceChain, rule: SigmaRule) -> dict[str, tuple[int, float, DistributionParams]]:
     """Each dimension's ``(stream index, coefficient, distribution)`` by name, in chain order."""
     worst_case(chain)  # an overflow is the chain's fault, as in analyze
     return {d.name: (i, d.coefficient, derive_distribution(d, rule)) for i, d in enumerate(chain.dimensions)}
-
-
-def _draw_uniforms(seed: int, index: int, out: np.ndarray, start: int, stop: int) -> None:
-    """Uniforms [start, stop) of stream ``index``, into those rows of ``out``."""
-    _stream(seed, index, start).random(out=out[start:stop])
 
 
 def _add_draws(fc: np.ndarray, coefficient: float, params: DistributionParams, draws: np.ndarray,
@@ -579,8 +571,9 @@ def _scrap_counts(chain: ToleranceChain, rule: SigmaRule, seed: int, run: Callab
 
 def _count_rows(seed: int, tables: list[np.ndarray], columns: np.ndarray, bounds: tuple[float, float], start: int,
                 stop: int) -> tuple[int, int, int, int]:
-    """``(rows, below, above, NaN)`` counts of the samples on rows [start, stop), block by block. ``tables`` holds
-    each dimension's least and greatest term by bucket, and ``columns`` their sigma, mean and coefficient."""
+    """``(rows, below, above, NaN)`` counts of the samples on rows [start, stop): the brackets block by block, then
+    the undecided rows of every block by one transform. ``tables`` holds each dimension's least and greatest term
+    by bucket, and ``columns`` their sigma, mean and coefficient."""
     low, high = bounds
     sigma, mean, coefficient = columns
     block = min(_COUNT_ROWS, stop - start)
@@ -588,7 +581,8 @@ def _count_rows(seed: int, tables: list[np.ndarray], columns: np.ndarray, bounds
     # Reused block by block: fresh arrays cost page faults, which threads take in turn.
     uniforms, buckets = np.empty((len(tables), block)), np.empty((len(tables), block), dtype=np.intp)
     sums, terms = np.empty((block, 2)), np.empty((block, 2))
-    below = above = nans = 0
+    below = above = 0
+    undecided = []
     for first in range(start, stop, block):
         rows = min(block, stop - first)
         drawn, bucket, bracket, term = uniforms[:, :rows], buckets[:, :rows], sums[:rows], terms[:rows]
@@ -607,16 +601,17 @@ def _count_rows(seed: int, tables: list[np.ndarray], columns: np.ndarray, bounds
         # side of the bound. A NaN end, from inf - inf, decides nothing.
         lo, hi = bracket.T
         sure_below, sure_above = hi < low, lo > high
-        exact = np.flatnonzero(~(sure_below | sure_above | (lo >= low) & (hi <= high)))
-        draws = _to_normal(drawn[:, exact], sigma, mean)
-        draws *= coefficient
-        fc = np.zeros(exact.size)
-        for draw in draws:  # in chain order from +0.0, as sample_chain adds them
-            fc += draw
-        below += np.count_nonzero(sure_below) + np.count_nonzero(fc < low)
-        above += np.count_nonzero(sure_above) + np.count_nonzero(fc > high)
-        nans += np.count_nonzero(np.isnan(fc))
-    return stop - start, int(below), int(above), int(nans)
+        below += np.count_nonzero(sure_below)
+        above += np.count_nonzero(sure_above)
+        undecided.append(drawn[:, np.flatnonzero(~(sure_below | sure_above | (lo >= low) & (hi <= high)))])
+    draws = _to_normal(np.concatenate(undecided, axis=1), sigma, mean)
+    draws *= coefficient
+    fc = np.zeros(draws.shape[1])
+    for draw in draws:  # in chain order from +0.0, as sample_chain adds them
+        fc += draw
+    below += np.count_nonzero(fc < low)
+    above += np.count_nonzero(fc > high)
+    return stop - start, int(below), int(above), int(np.count_nonzero(np.isnan(fc)))
 
 
 def analytic_scrap(chain: ToleranceChain, rule: SigmaRule) -> float:

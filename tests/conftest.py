@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tolchain import DimensionSpec, FunctionalCondition, ToleranceChain
+from tolchain import DimensionSpec, FunctionalCondition, ToleranceChain, montecarlo
 
 ACTUATOR_DOC = {
     "name": "actuator-clamping",
@@ -44,6 +44,20 @@ def traced_peak(run):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def counted_transforms(monkeypatch) -> list:
+    """The shape of the uniforms at each later call of ``montecarlo._to_normal``, which still transforms them.
+    ``_bracket`` is built first, so that its own transform is not counted."""
+    montecarlo._bracket()
+    shapes, transform = [], montecarlo._to_normal
+
+    def counted(uniforms, *args):
+        shapes.append(uniforms.shape)
+        return transform(uniforms, *args)
+
+    monkeypatch.setattr(montecarlo, "_to_normal", counted)
+    return shapes
 
 
 @pytest.fixture

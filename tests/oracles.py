@@ -31,7 +31,9 @@ def whole_draw_scrap(chain: ToleranceChain, rule: SigmaRule, n: int, seed: int) 
     """
     fc = np.zeros(n, dtype=np.float64)
     for index, d in enumerate(chain.dimensions):
-        fc += d.coefficient * montecarlo._normal_chunk(seed, index, derive_distribution(d, rule), 0, np.empty(n))
+        params = derive_distribution(d, rule)
+        fc += d.coefficient * montecarlo._to_normal(montecarlo._stream(seed, index, 0).random(n), params.sigma,
+                                                    params.mean)
     return scrap_rate(fc, chain.condition)
 
 

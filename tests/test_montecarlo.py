@@ -13,7 +13,7 @@ import pytest
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from conftest import traced_peak
+from conftest import counted_transforms, traced_peak
 from oracles import recompute_fc, reference_samples_csv, whole_draw_scrap
 from tolchain import model, montecarlo
 from tolchain import (
@@ -291,9 +291,9 @@ class TestSampleChain:
         ids=["n-float", "n-numpy-float", "n-bool", "seed-float", "seed-bool", "workers-float"],
     )
     def test_count_that_is_not_an_integer_is_blamed(self, actuator_chain, kwargs, message, monkeypatch):
-        # Before anything is drawn, and not by numpy.
+        # Before anything is drawn, and not by numpy: every draw enters a stream.
         drawn = []
-        monkeypatch.setattr(montecarlo, "_normal_chunk", lambda *args: drawn.append(args))
+        monkeypatch.setattr(montecarlo, "_stream", lambda *args: drawn.append(args))
         args = {"n": 8, "seed": 1, **kwargs}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sample_chain(actuator_chain, IT6, args.pop("n"), args.pop("seed"), **args)
@@ -378,9 +378,10 @@ class TestSampleChain:
         monkeypatch.setattr(montecarlo, "usable_cores", lambda: cores)
         # 1000 workers are planned as the capped thread count: 1e5 samples need
         # two chunks of at most 65536, rounded up to a multiple of the threads.
+        # One thread runs them in the caller, with no pool.
         batch = sample_chain(actuator_chain, IT6, 100_000, 7, workers=1000)
-        assert pools == [threads]
-        assert mapped == [max(2, threads)] * len(actuator_chain.dimensions)
+        assert pools == ([threads] if threads > 1 else [])
+        assert mapped == ([threads] * len(actuator_chain.dimensions) if threads > 1 else [])
         assert batch.fc_samples.tobytes() == sample_chain(actuator_chain, IT6, 100_000, 7).fc_samples.tobytes()
 
     @pytest.mark.parametrize(
@@ -404,6 +405,14 @@ class TestSampleChain:
         assert spans[0][0] == 0 and spans[-1][1] == n
         assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
         assert all(0 < stop - start <= montecarlo._CHUNK for start, stop in spans)
+
+    def test_chunk_plan_holds_nothing_per_chunk(self):
+        # 1e11 rows are about 1.5 million chunks; entering the plan lists none of them.
+        def enter():
+            with montecarlo._chunk_jobs(10**11, 2):
+                pass
+
+        assert traced_peak(enter) < 64 * 1024
 
     def test_workers_default_to_the_usable_cores(self):
         assert inspect.signature(sample_chain).parameters["workers"].default == model.usable_cores()
@@ -527,8 +536,9 @@ class TestSampleChain:
         assert draws[0] == pytest.approx(ndtri(1.0 - 2.0**-52), rel=NDTRI_ULPS * 2.0**-52)
 
     def test_scrap_count_memory_does_not_grow_with_n(self, actuator_chain):
-        # A job holds one block's uniforms, buckets and brackets, whatever n is;
-        # one worker keeps the peak free of how the threads overlap.
+        # A job holds one block's uniforms, buckets and brackets, and its few
+        # undecided rows, whatever n is; one worker keeps the peak free of how
+        # the threads overlap.
         def peak(n):
             with montecarlo._chunk_jobs(n, 1) as run:
                 return traced_peak(lambda: montecarlo._scrap_counts(actuator_chain, IT6, 3, run))
@@ -536,6 +546,13 @@ class TestSampleChain:
         small, large = peak(200_000), peak(2_000_000)
         assert large <= 1.1 * small
         assert large <= 8 * 2_000_000 / 4
+
+    def test_scrap_count_transforms_once_per_job(self, actuator_chain, monkeypatch):
+        # The undecided rows of a job's blocks, every dimension, go through one transform.
+        expected = scrap_counts(actuator_chain, IT6, 100_000, 7, 1)
+        shapes = counted_transforms(monkeypatch)
+        assert scrap_counts(actuator_chain, IT6, 100_000, 7, 1) == expected
+        assert [rows for rows, _ in shapes] == [4, 4]
 
     def test_overflowing_spread_names_the_dimension(self):
         # a's draws are finite, but their squared deviations, near 1e399, are not.
@@ -868,6 +885,12 @@ class TestExports:
             assert samples_csv(batch, start).splitlines(keepends=True) == whole[1 + start :]
         with pytest.raises(ValueError, match=r"^start must be non-negative, got -4$"):
             samples_csv(batch, -4)
+
+    def test_samples_csv_transforms_once_per_block(self, actuator_chain, monkeypatch):
+        batch = sample_chain(actuator_chain, IT6, 50_000, 5)
+        shapes = counted_transforms(monkeypatch)
+        samples_csv(batch)
+        assert shapes == [(4, 4096)] * 12 + [(4, 848)]
 
     def test_samples_csv_ends_with_newline(self, actuator_chain):
         batch = sample_chain(actuator_chain, IT6, 2, 1)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from conftest import make_actuator_chain
+from conftest import counted_transforms, make_actuator_chain
 from tolchain import montecarlo, synthesis
 from tolchain.model import MAX_COUNT, MAX_SEED
 from tolchain import (
@@ -292,6 +292,7 @@ class TestSynthesizeSampling:
                 super().shutdown(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "usable_cores", lambda: 2)  # one thread would run in the caller
         return made
 
     @pytest.mark.parametrize("n", [1, 4097, 65_541, 100_003])
@@ -334,6 +335,14 @@ class TestSynthesizeSampling:
             synthesize(actuator_chain, IT6, cfg, workers=2)
         assert len(pools) == 1
         assert pools[0].shut
+
+    def test_one_transform_per_count_job(self, actuator_chain, monkeypatch):
+        # 1e5 rows are two chunk jobs at 1 or 2 threads; each transforms its undecided rows once.
+        shapes = counted_transforms(monkeypatch)
+        cfg = SynthesisConfig(target_scrap=1e-3, n_per_iteration=100_000, seed=7)
+        report = synthesize(actuator_chain, IT6, cfg, workers=2)
+        assert len(report.iterations) == 36
+        assert len(shapes) == 72
 
     def test_zero_workers_is_rejected_before_anything_is_drawn(self, actuator_chain, monkeypatch):
         drawn = []
