@@ -52,6 +52,9 @@ __all__ = [
 
 # Rows per chunk job, at most.
 _CHUNK = 65536
+# Chunks per thread handed to the pool at a time, at most: a pending chunk holds
+# a future, so a window keeps a long map's memory flat.
+_WINDOW = 64
 # Rows per block of the samples export, few enough that a block's re-drawn
 # columns and text stay a few hundred kilobytes.
 _EXPORT_ROWS = 4096
@@ -211,9 +214,9 @@ _LN2_HI, _LN2_LO = float.fromhex("0x1.62e42feep-1"), float.fromhex("0x1.a39ef357
 _LG = tuple(map(float.fromhex, ("0x1.2f112df3e5244p-3", "0x1.39a09d078c69fp-3", "0x1.7466496cb03dep-3",
                                 "0x1.c71c51d8e78afp-3", "0x1.2492494229359p-2", "0x1.999999997fa04p-2",
                                 "0x1.5555555555593p-1")))
-# Rows per block of the transform, at most. Its scratch takes 40 bytes a row, so
-# sample_chain's one scratch is 1 MB, beside its two arrays of n; fewer rows
-# would pay numpy's cost per call more often.
+# Rows per block of the transform, at most. Its work array takes 40 bytes a row,
+# so 1 MB beside sample_chain's two arrays of n; fewer rows would pay numpy's
+# cost per call more often.
 _NDTRI_ROWS = 24576
 
 
@@ -233,11 +236,6 @@ def _rational(x: np.ndarray, num: np.ndarray, den: np.ndarray, p: tuple[float, .
     num *= x
     num /= den
     return num
-
-
-def _scratch(rows: int) -> np.ndarray:
-    """Work rows for ``_ndtri`` in blocks of up to ``rows`` rows, at least one."""
-    return np.empty((5, max(1, rows)))
 
 
 def _log(v: np.ndarray, work: np.ndarray) -> None:
@@ -269,48 +267,46 @@ def _log(v: np.ndarray, work: np.ndarray) -> None:
     v -= z
 
 
-def _ndtri(y: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _ndtri(y: np.ndarray, rows: int = _NDTRI_ROWS) -> np.ndarray:
     """cephes' ``ndtri`` of each element of the 1-D ``y``, which lie in [2**-54, 1 - 2**-52], in place, in blocks
-    of the rows of ``scratch``, from ``_scratch`` (by default, one of up to ``_NDTRI_ROWS``)."""
-    if scratch is None:
-        scratch = _scratch(min(y.size, _NDTRI_ROWS))
-    rows = scratch.shape[1]
-    for first in range(0, y.size, rows):
-        _ndtri_block(y[first:first + rows], scratch)
+    of up to ``rows`` rows over one work array of five such rows, allocated once per call."""
+    work = np.empty((5, max(1, min(rows, y.size))))
+    for first in range(0, y.size, work.shape[1]):
+        _ndtri_block(y[first:first + work.shape[1]], work)
     return y
 
 
-def _ndtri_block(y: np.ndarray, scratch: np.ndarray) -> None:
-    """``_ndtri`` of one block. The tails' rows are gathered into the scratch and run there; the central
-    function then runs on every row, and the tails' results are put back over it."""
+def _ndtri_block(y: np.ndarray, work: np.ndarray) -> None:
+    """``_ndtri`` of one block on the work array ``work``. The tails' rows are gathered into it and run there; the
+    central function then runs on every row, and the tails' results are put back over it."""
     index = np.flatnonzero((y <= _E2) | (y > 1.0 - _E2))
     # The tails, on their rows alone: x = sqrt(-2 log y') of the nearer tail y',
     # then x - log(x)/x - r(1/x), and the sign of y - 0.5.
-    x, *work = scratch[:, :index.size]
+    x, *tail = work[:, :index.size]
     np.take(y, index, out=x)
     upper = x > 0.5
-    np.subtract(1.0, x, out=work[0])
-    np.minimum(x, work[0], out=x)  # y', exactly
-    _log(x, work[:3])
+    np.subtract(1.0, x, out=tail[0])
+    np.minimum(x, tail[0], out=x)  # y', exactly
+    _log(x, tail[:3])
     x *= -2.0
     np.sqrt(x, out=x)
     far = np.flatnonzero(x >= 8.0)
-    log_x, inverse = work[:2]
+    log_x, inverse = tail[:2]
     np.copyto(log_x, x)
-    _log(log_x, work[1:])
+    _log(log_x, tail[1:])
     log_x /= x
     np.divide(1.0, x, out=inverse)
     x -= log_x
-    ratio = _rational(inverse, *work[2:], _P1, _Q1)
+    ratio = _rational(inverse, *tail[2:], _P1, _Q1)
     if far.size:  # y' below e**-32, so rarely drawn
         ratio[far] = _rational(inverse[far], *np.empty((2, far.size)), _P2, _Q2)
     x -= ratio
-    np.subtract(upper, 0.5, out=work[0])
-    np.copysign(x, work[0], out=x)
+    np.subtract(upper, 0.5, out=tail[0])
+    np.copysign(x, tail[0], out=x)
 
     # The central function, on every row: (y + y r(y*y)) sqrt(2 pi), y taken less 0.5.
     y -= 0.5
-    square, num, den = scratch[1:4, :y.size]
+    square, num, den = work[1:4, :y.size]
     np.multiply(y, y, out=square)
     ratio = _rational(square, num, den, _P0, _Q0)
     ratio *= y
@@ -320,17 +316,17 @@ def _ndtri_block(y: np.ndarray, scratch: np.ndarray) -> None:
 
 
 def _to_normal(uniforms: np.ndarray, sigma: float | np.ndarray, mean: float | np.ndarray,
-               scratch: np.ndarray | None = None) -> np.ndarray:
-    """The normal draws of ``uniforms``, each word's top 53 bits times 2**-53, in place, through ``_ndtri`` on
-    ``scratch``. ``uniforms`` is contiguous in C or Fortran order. ``sigma`` and ``mean`` are numbers or, for the
-    rows of ``uniforms``, columns."""
+               rows: int = _NDTRI_ROWS) -> np.ndarray:
+    """The normal draws of ``uniforms``, each word's top 53 bits times 2**-53, in place, through ``_ndtri`` in
+    blocks of up to ``rows`` rows. ``uniforms`` is contiguous in C or Fortran order. ``sigma`` and ``mean`` are
+    numbers or, for the rows of ``uniforms``, columns."""
     # Capped at 1 - 2**-52 and centered, the uniform lies in [2**-54, 1 - 2**-52],
     # so the inverse CDF below stays finite. (Uncapped, the top word's
     # 1 - 2**-53 + 2**-54 would round to 1.) With top the word's top 53 bits,
     # this rounds as mean + sigma * ndtri((top + 0.5) * 2**-53).
     np.minimum(uniforms, 1.0 - 2.0**-52, out=uniforms)
     uniforms += 2.0**-54
-    _ndtri(uniforms.ravel(order="K"), scratch)  # a view, in memory order
+    _ndtri(uniforms.ravel(order="K"), rows)  # a view, in memory order
     uniforms *= sigma
     uniforms += mean
     return uniforms
@@ -352,9 +348,9 @@ class _Columns(Mapping[str, np.ndarray]):
 
     def __getitem__(self, name: str) -> np.ndarray:
         index, _, params = self._streams[name]
-        # A scratch of n/256 rows (at least 512) holds about 2% of the column's bytes.
-        scratch = _scratch(min(self._n, _NDTRI_ROWS, max(512, self._n // 256)))
-        column = _to_normal(_stream(self._seed, index, 0).random(self._n), params.sigma, params.mean, scratch)
+        # Blocks of n/256 rows (at least 512): the transform's work array holds about 2% of the column's bytes.
+        rows = min(_NDTRI_ROWS, max(512, self._n // 256))
+        column = _to_normal(_stream(self._seed, index, 0).random(self._n), params.sigma, params.mean, rows)
         column.setflags(write=False)
         return column
 
@@ -392,11 +388,17 @@ def sample_chain(
         streams = _streams(chain, rule)
         fc = np.zeros(n, dtype=np.float64)
         buf = np.empty(n, dtype=np.float64)
-        scratch = _scratch(min(n, _NDTRI_ROWS))
         moments: dict[str, tuple[float, float]] = {}
         for name, (index, coefficient, params) in streams.items():
             run(lambda start, stop: _stream(seed, index, start).random(out=buf[start:stop]))
-            _add_draws(fc, coefficient, params, buf, scratch)
+            # The transform runs here, in the calling thread, block by block: numpy
+            # frees the interpreter lock around each of its short passes, so two
+            # threads running them at once hand the lock back and forth. On 2 cores,
+            # 16 dimensions at n = 1e6 took 1.1-1.3 s with the transform in two
+            # threads, and 0.7-0.9 s with it in one.
+            for first in range(0, n, _NDTRI_ROWS):
+                block = _to_normal(buf[first:first + _NDTRI_ROWS], params.sigma, params.mean)
+                fc[first:first + block.size] += coefficient * block
             moments[name] = _moments_in_place(buf, f" of dimension {name!r}")
     fc.setflags(write=False)
 
@@ -408,40 +410,28 @@ def sample_chain(
 @contextmanager
 def _chunk_jobs(n: int, workers: int) -> Iterator[Callable[[Callable], list]]:
     """``run``, where ``run(job)`` is ``[job(start, stop), ...]`` over [0, n) in order: equal chunks of at most
-    _CHUNK rows, in a multiple of the thread count, run on a pool capped at the usable cores, or in the caller
-    at one thread."""
+    _CHUNK rows, in a multiple of the thread count, run on a pool capped at the usable cores, _WINDOW chunks per
+    thread at a time, or in the caller at one thread."""
     check("workers", workers)
     threads = min(workers, usable_cores())
     chunks = -(-n // _CHUNK)
     chunks += -chunks % threads
     step = -(-n // chunks)
+    window = _WINDOW * threads * step  # rows
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         apply = map if pool is None else pool.map
-        yield lambda job: list(apply(lambda start: job(start, min(start + step, n)), range(0, n, step)))
+
+        def run(job: Callable) -> list:
+            spans = (range(first, min(first + window, n), step) for first in range(0, n, window))
+            return [done for span in spans for done in apply(lambda start: job(start, min(start + step, n)), span)]
+
+        yield run
 
 
 def _streams(chain: ToleranceChain, rule: SigmaRule) -> dict[str, tuple[int, float, DistributionParams]]:
     """Each dimension's ``(stream index, coefficient, distribution)`` by name, in chain order."""
     worst_case(chain)  # an overflow is the chain's fault, as in analyze
     return {d.name: (i, d.coefficient, derive_distribution(d, rule)) for i, d in enumerate(chain.dimensions)}
-
-
-def _add_draws(fc: np.ndarray, coefficient: float, params: DistributionParams, draws: np.ndarray,
-               scratch: np.ndarray) -> None:
-    """Turns the uniforms ``draws`` into normal draws in place and adds ``coefficient * draws`` to ``fc``, block
-    by block through ``scratch``, so that nothing else of their size is allocated. Elementwise, so the blocks
-    change no bit.
-
-    This runs in the calling thread. numpy frees the interpreter lock around
-    each of the transform's passes, which are short, so two threads running
-    them at once hand the lock back and forth: on 2 cores, sample_chain took
-    1.1-1.3 s on 16 dimensions at n = 1e6 with the transform in two threads,
-    and 0.7-0.9 s with it in one."""
-    product = scratch[0]
-    for first in range(0, draws.size, product.size):
-        block = _to_normal(draws[first:first + product.size], params.sigma, params.mean, scratch)
-        out = fc[first:first + block.size]
-        out += np.multiply(coefficient, block, out=product[:block.size])
 
 
 def statistical_interval(
@@ -643,10 +633,13 @@ def samples_csv(batch: SampleBatch, start: int = 0, stop: int | None = None) -> 
 
     The header ``index,<dimension names...>,<fc name>`` leads only at ``start``
     0, so consecutive ranges join into the whole export, which is the default.
+    ``start`` and ``stop`` are non-negative integers; as in a slice, ``stop``
+    is capped at ``n``, and no row lies in a range with ``stop <= start``.
     """
-    if start < 0:
-        raise ValueError(f"start must be non-negative, got {start}")
-    stop = batch.n if stop is None else min(stop, batch.n)
+    stop = batch.n if stop is None else stop
+    for name, value in (("start", start), ("stop", stop)):
+        as_real(value, name, lambda v: v >= 0, "must be non-negative, got {!r}", integral=True)
+    stop = min(stop, batch.n)
     header = io.StringIO()
     if start == 0:
         csv.writer(header, lineterminator="\n").writerow(["index", *batch.per_dimension.keys(), batch.fc_name])

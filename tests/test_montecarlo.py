@@ -414,6 +414,15 @@ class TestSampleChain:
 
         assert traced_peak(enter) < 64 * 1024
 
+    def test_chunk_map_holds_a_bounded_window(self):
+        # 2e8 rows are 3052 chunks, and the pool holds a future, about 1.6 KB,
+        # for each chunk it has been handed and not yet returned.
+        def enter_and_run():
+            with montecarlo._chunk_jobs(2 * 10**8, 2) as run:
+                run(lambda start, stop: None)
+
+        assert traced_peak(enter_and_run) < 1024 * 1024
+
     def test_workers_default_to_the_usable_cores(self):
         assert inspect.signature(sample_chain).parameters["workers"].default == model.usable_cores()
 
@@ -443,23 +452,23 @@ class TestSampleChain:
 
     def test_memory_is_bounded_for_many_dimensions(self):
         # 16 dimensions: holding every column would trace about 19 arrays of n
-        # doubles. The sampler holds fc, one buffer and the transform's scratch
-        # (1 MB, here 0.6 of an array); batch_summary's fc moments then take a
-        # copy of fc.
+        # doubles. The sampler holds fc, one buffer and the transform's work
+        # array (1 MB, here 0.6 of an array); batch_summary's fc moments then
+        # take a copy of fc.
         chain, n = wide_chain(), 200_000
         peak = traced_peak(lambda: batch_summary(chain, sample_chain(chain, IT6, n, 3, workers=2), IT6))
         assert peak <= 3 * 8 * n
 
     def test_sampler_holds_two_arrays_of_n(self):
         # fc and the reused buffer, whose moments are taken in place, plus the
-        # transform's 1 MB scratch: about 2.15 arrays of n doubles.
+        # transform's 1 MB work array: about 2.15 arrays of n doubles.
         chain, n = wide_chain(), 1_000_000
         peak = traced_peak(lambda: sample_chain(chain, IT6, n, 3, workers=2))
         assert peak <= 2.5 * 8 * n
 
     def test_column_redraw_holds_one_array_of_n(self, actuator_chain):
         # The column is drawn and transformed in place, with no bits array beside
-        # it and a scratch of n/256 rows.
+        # it, and the transform's work array has n/256 rows.
         n = 200_000
         batch = sample_chain(actuator_chain, IT6, n, 3, workers=1)
         assert traced_peak(lambda: batch.per_dimension["a3"]) <= 1.05 * 8 * n
@@ -649,10 +658,19 @@ class TestNdtri:
         assert draws[0] < -8.0 < 8.0 < draws[1]
         assert ulps_apart(draws, ndtri(ends)).max() <= NDTRI_ULPS
 
-    @pytest.mark.parametrize("rows", [3, 7, 1024])
+    @pytest.mark.parametrize("rows", [1, 3, 7, 1024])
     def test_blocks_change_no_bit(self, rows):
-        y = sampled(7, 5, 3000)
-        assert np.array_equal(montecarlo._ndtri(y.copy(), montecarlo._scratch(rows)), montecarlo._ndtri(y.copy()))
+        for y in (sampled(7, 5, 3000), np.empty(0)):
+            assert np.array_equal(montecarlo._ndtri(y.copy(), rows), montecarlo._ndtri(y.copy()))
+
+    @pytest.mark.parametrize("rows", [7, None], ids=["7", "default"])
+    def test_a_block_of_rows_transforms_as_each_row_alone(self, rows):
+        # A C-ordered block of four streams, each row with its own sigma and mean.
+        uniforms = np.stack([montecarlo._stream(7, index, 0).random(4097) for index in range(4)])
+        sigma, mean = np.array([[0.5], [2.0], [1e-3], [7.0]]), np.array([[25.3], [-9.0], [0.0], [1e6]])
+        alone = [montecarlo._to_normal(row.copy(), s, m) for row, s, m in zip(uniforms, sigma[:, 0], mean[:, 0])]
+        block = montecarlo._to_normal(uniforms.copy(), sigma, mean, *([] if rows is None else [rows]))
+        assert block.flags.c_contiguous and np.array_equal(block, alone)
 
 
 class TestStatisticalInterval:
@@ -885,6 +903,25 @@ class TestExports:
             assert samples_csv(batch, start).splitlines(keepends=True) == whole[1 + start :]
         with pytest.raises(ValueError, match=r"^start must be non-negative, got -4$"):
             samples_csv(batch, -4)
+
+    @pytest.mark.parametrize(
+        "start, stop, message",
+        [(True, None, "start must be an integer, got True"), (2.5, None, "start must be an integer, got 2.5"),
+         (0, -1, "stop must be non-negative, got -1"), (0, False, "stop must be an integer, got False"),
+         (0, 3.0, "stop must be an integer, got 3.0"), ("1", None, "start must be an integer, got '1'")],
+        ids=["bool-start", "float-start", "negative-stop", "bool-stop", "float-stop", "str-start"],
+    )
+    def test_samples_csv_rejects_a_row_range_that_is_not_counts(self, actuator_chain, start, stop, message):
+        batch = sample_chain(actuator_chain, IT6, 16, 5)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            samples_csv(batch, start, stop)
+
+    def test_samples_csv_range_ending_before_it_starts_is_empty(self, actuator_chain):
+        batch = sample_chain(actuator_chain, IT6, 16, 5)
+        whole = samples_csv(batch).splitlines(keepends=True)
+        assert samples_csv(batch, 7, 3) == samples_csv(batch, 7, 7) == ""
+        assert samples_csv(batch, 0, 0) == whole[0]
+        assert samples_csv(batch, np.int64(3), np.int64(5)).splitlines(keepends=True) == whole[4:6]
 
     def test_samples_csv_transforms_once_per_block(self, actuator_chain, monkeypatch):
         batch = sample_chain(actuator_chain, IT6, 50_000, 5)
