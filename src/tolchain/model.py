@@ -48,18 +48,21 @@ class ChainValidationError(ValueError):
 
 def as_real(value: Any, what: str, valid: Callable[[Any], bool] = math.isfinite, rule: str = "must be finite, got {!r}",
             integral: bool = False, error: type[ValueError] = ValueError) -> float:
-    """``float(value)``, once ``value`` is a real number (an integer where ``integral``) but not a bool, lies within a
-    double's range and is ``valid``. Else raises ``error``: ``what``, then the type wanted or ``rule``, which for a
-    value beyond the range gives its bit length in place of the value."""
+    """``float(value)``, once ``value`` is a real number but not a bool, lies within a double's range and is
+    ``valid``; where ``integral``, ``value`` itself, once it is an integer and ``valid`` at any length. Else raises
+    ``error``: ``what``, then the type wanted or ``rule``, which for a value beyond the range gives its bit length
+    in place of the value."""
     kind, wanted = (numbers.Integral, "an integer") if integral else (numbers.Real, "a real number")
     if isinstance(value, bool) or not isinstance(value, kind):  # numpy's integers and floats pass
         raise error(f"{what} must be {wanted}, got {value!r}")
+    if integral and valid(value):  # a count is compared exactly, at any length
+        return value
     try:
         number = float(value)
     except OverflowError:  # named by its length: past 4300 digits an integer is too long to print
         kind = "an integer" if isinstance(value, numbers.Integral) else "a number"
         raise error(f"{what} {rule.rpartition(', got ')[0]}, got {kind} of {int(value).bit_length()} bits") from None
-    if not valid(value if integral else number):  # a count is compared exactly
+    if integral or not valid(number):
         raise error(f"{what} {rule.format(value)}")
     return number
 

@@ -267,10 +267,10 @@ def _log(v: np.ndarray, work: np.ndarray) -> None:
     v -= z
 
 
-def _ndtri(y: np.ndarray, rows: int = _NDTRI_ROWS) -> np.ndarray:
+def _ndtri(y: np.ndarray) -> np.ndarray:
     """cephes' ``ndtri`` of each element of the 1-D ``y``, which lie in [2**-54, 1 - 2**-52], in place, in blocks
-    of up to ``rows`` rows over one work array of five such rows, allocated once per call."""
-    work = np.empty((5, max(1, min(rows, y.size))))
+    of up to _NDTRI_ROWS rows over one work array of five such rows, allocated once per call."""
+    work = np.empty((5, max(1, min(_NDTRI_ROWS, y.size))))
     for first in range(0, y.size, work.shape[1]):
         _ndtri_block(y[first:first + work.shape[1]], work)
     return y
@@ -315,18 +315,17 @@ def _ndtri_block(y: np.ndarray, work: np.ndarray) -> None:
     y[index] = x
 
 
-def _to_normal(uniforms: np.ndarray, sigma: float | np.ndarray, mean: float | np.ndarray,
-               rows: int = _NDTRI_ROWS) -> np.ndarray:
-    """The normal draws of ``uniforms``, each word's top 53 bits times 2**-53, in place, through ``_ndtri`` in
-    blocks of up to ``rows`` rows. ``uniforms`` is contiguous in C or Fortran order. ``sigma`` and ``mean`` are
-    numbers or, for the rows of ``uniforms``, columns."""
+def _to_normal(uniforms: np.ndarray, sigma: float | np.ndarray, mean: float | np.ndarray) -> np.ndarray:
+    """The normal draws of ``uniforms``, each word's top 53 bits times 2**-53, in place, through ``_ndtri``.
+    ``uniforms`` is contiguous in C or Fortran order. ``sigma`` and ``mean`` are numbers or, for the rows of
+    ``uniforms``, columns."""
     # Capped at 1 - 2**-52 and centered, the uniform lies in [2**-54, 1 - 2**-52],
     # so the inverse CDF below stays finite. (Uncapped, the top word's
     # 1 - 2**-53 + 2**-54 would round to 1.) With top the word's top 53 bits,
     # this rounds as mean + sigma * ndtri((top + 0.5) * 2**-53).
     np.minimum(uniforms, 1.0 - 2.0**-52, out=uniforms)
     uniforms += 2.0**-54
-    _ndtri(uniforms.ravel(order="K"), rows)  # a view, in memory order
+    _ndtri(uniforms.ravel(order="K"))  # a view, in memory order
     uniforms *= sigma
     uniforms += mean
     return uniforms
@@ -348,9 +347,11 @@ class _Columns(Mapping[str, np.ndarray]):
 
     def __getitem__(self, name: str) -> np.ndarray:
         index, _, params = self._streams[name]
+        stream, column = _stream(self._seed, index, 0), np.empty(self._n)
         # Blocks of n/256 rows (at least 512): the transform's work array holds about 2% of the column's bytes.
         rows = min(_NDTRI_ROWS, max(512, self._n // 256))
-        column = _to_normal(_stream(self._seed, index, 0).random(self._n), params.sigma, params.mean, rows)
+        for first in range(0, self._n, rows):
+            _to_normal(stream.random(out=column[first:first + rows]), params.sigma, params.mean)
         column.setflags(write=False)
         return column
 
@@ -367,39 +368,34 @@ def sample_chain(
     """Draw ``n`` independent realizations of every dimension and of the condition.
 
     Dimension ``i`` uses its own Philox stream keyed by ``(seed, i)``; sample
-    ``k`` always consumes word ``k`` of that stream. ``workers`` only controls
-    how many threads draw the chunks' uniforms; the output is bit-identical
-    for any worker count. Each dimension is drawn into one reused buffer,
-    transformed there block by block, and its moments are then taken in place,
-    so peak memory is about two arrays of ``n`` doubles for any dimension
-    count. A chain whose worst case overflows raises ``ChainValidationError``
-    before anything is drawn.
+    ``k`` always consumes word ``k`` of that stream. Each dimension is drawn
+    into one reused buffer in the calling thread, block by block, each block
+    transformed as it is drawn, and its moments are then taken in place, so
+    peak memory is about two arrays of ``n`` doubles for any dimension count.
+    A chain whose worst case overflows raises ``ChainValidationError`` before
+    anything is drawn.
 
     Args:
         chain: the chain to realize.
         rule: tolerance-to-sigma mapping for every dimension.
         n: number of realizations, >= 1.
         seed: 64-bit unsigned stream selector.
-        workers: thread count for drawing uniforms (>= 1), capped at and by default the usable cores.
+        workers: checked (>= 1) as the CLI's ``--workers`` is; the draw runs in the calling thread at any count.
     """
     check("samples", n)
     check("seed", seed)
-    with _chunk_jobs(n, workers) as run:
-        streams = _streams(chain, rule)
-        fc = np.zeros(n, dtype=np.float64)
-        buf = np.empty(n, dtype=np.float64)
-        moments: dict[str, tuple[float, float]] = {}
-        for name, (index, coefficient, params) in streams.items():
-            run(lambda start, stop: _stream(seed, index, start).random(out=buf[start:stop]))
-            # The transform runs here, in the calling thread, block by block: numpy
-            # frees the interpreter lock around each of its short passes, so two
-            # threads running them at once hand the lock back and forth. On 2 cores,
-            # 16 dimensions at n = 1e6 took 1.1-1.3 s with the transform in two
-            # threads, and 0.7-0.9 s with it in one.
-            for first in range(0, n, _NDTRI_ROWS):
-                block = _to_normal(buf[first:first + _NDTRI_ROWS], params.sigma, params.mean)
-                fc[first:first + block.size] += coefficient * block
-            moments[name] = _moments_in_place(buf, f" of dimension {name!r}")
+    check("workers", workers)
+    streams = _streams(chain, rule)
+    fc = np.zeros(n, dtype=np.float64)
+    buf = np.empty(n, dtype=np.float64)
+    moments: dict[str, tuple[float, float]] = {}
+    # One thread: a pool for the uniforms saved nothing on 2 cores (16 dims, n = 1e6: 0.62 s at 1 worker, 0.64 s at 2).
+    for name, (index, coefficient, params) in streams.items():
+        stream = _stream(seed, index, 0)
+        for first in range(0, n, _NDTRI_ROWS):
+            block = _to_normal(stream.random(out=buf[first:first + _NDTRI_ROWS]), params.sigma, params.mean)
+            fc[first:first + block.size] += coefficient * block
+        moments[name] = _moments_in_place(buf, f" of dimension {name!r}")
     fc.setflags(write=False)
 
     fc_name = chain.condition.name if chain.condition is not None else "fc"

@@ -187,9 +187,15 @@ class TestParameterRules:
 
     @pytest.mark.parametrize("name", SAMPLING_RULES)
     def test_every_rule_names_its_parameter_beyond_a_double(self, name):
+        # -10**400 breaks every rule; 10**400 is a worker or iteration count their rules admit.
         subject = re.escape(SAMPLING_RULES[name][2].split(" must ")[0])
         with pytest.raises(ValueError, match=f"^--flag: {subject} must .*, got an integer of 1329 bits$"):
-            check(name, 10**400, "--flag: ")
+            check(name, -(10**400), "--flag: ")
+
+    @pytest.mark.parametrize("name", ["workers", "max_iterations"])
+    def test_a_count_beyond_a_double_that_its_rule_admits_passes(self, name):
+        check(name, 10**400)
+        check(name, 10**5000)
 
     def test_max_count_is_the_longest_array_numpy_can_address(self):
         assert MAX_COUNT == sys.maxsize // 8

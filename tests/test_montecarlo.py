@@ -337,8 +337,8 @@ class TestSampleChain:
         assert np.array_equal(recompute_fc(actuator_chain, batches[0]), batches[0].fc_samples)
 
     def test_threads_lose_no_update_to_the_condition_sum(self, actuator_chain):
-        # Every chunk job of sample_chain adds its own slice of fc, and every
-        # scrap-count job returns its own counts; a short switch interval
+        # Every scrap-count job returns its own counts, and sample_chain draws
+        # in the calling thread at any worker count; a short switch interval
         # interleaves the threads as often as the interpreter allows.
         chain = tight(actuator_chain)
         interval = sys.getswitchinterval()
@@ -377,12 +377,22 @@ class TestSampleChain:
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(montecarlo, "usable_cores", lambda: cores)
         # 1000 workers are planned as the capped thread count: 1e5 samples need
-        # two chunks of at most 65536, rounded up to a multiple of the threads.
-        # One thread runs them in the caller, with no pool.
-        batch = sample_chain(actuator_chain, IT6, 100_000, 7, workers=1000)
+        # two chunks of at most 65536, rounded up to a multiple of the threads,
+        # and the synthesis count maps them once. One thread runs them in the
+        # caller, with no pool.
+        counted = scrap_counts(actuator_chain, IT6, 100_000, 7, 1000)
         assert pools == ([threads] if threads > 1 else [])
-        assert mapped == ([threads] * len(actuator_chain.dimensions) if threads > 1 else [])
-        assert batch.fc_samples.tobytes() == sample_chain(actuator_chain, IT6, 100_000, 7).fc_samples.tobytes()
+        assert mapped == ([threads] if threads > 1 else [])
+        assert counted == scrap_counts(actuator_chain, IT6, 100_000, 7, 1)
+
+    def test_sampler_starts_no_pool(self, actuator_chain, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("sample_chain started a thread pool")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(montecarlo, "usable_cores", lambda: 2)
+        batch, alone = (sample_chain(actuator_chain, IT6, 100_000, 7, workers=workers) for workers in (2, 1))
+        assert batch.fc_samples.tobytes() == alone.fc_samples.tobytes()
 
     @pytest.mark.parametrize(
         "affinity, cores, usable",
@@ -660,16 +670,19 @@ class TestNdtri:
 
     @pytest.mark.parametrize("rows", [1, 3, 7, 1024])
     def test_blocks_change_no_bit(self, rows):
+        # The column re-draw runs _ndtri slice by slice.
         for y in (sampled(7, 5, 3000), np.empty(0)):
-            assert np.array_equal(montecarlo._ndtri(y.copy(), rows), montecarlo._ndtri(y.copy()))
+            sliced = np.concatenate([montecarlo._ndtri(y[first:first + rows].copy())
+                                     for first in range(0, y.size, rows)] or [np.empty(0)])
+            assert np.array_equal(sliced, montecarlo._ndtri(y.copy()))
 
-    @pytest.mark.parametrize("rows", [7, None], ids=["7", "default"])
+    @pytest.mark.parametrize("rows", [None], ids=["default"])
     def test_a_block_of_rows_transforms_as_each_row_alone(self, rows):
         # A C-ordered block of four streams, each row with its own sigma and mean.
         uniforms = np.stack([montecarlo._stream(7, index, 0).random(4097) for index in range(4)])
         sigma, mean = np.array([[0.5], [2.0], [1e-3], [7.0]]), np.array([[25.3], [-9.0], [0.0], [1e6]])
         alone = [montecarlo._to_normal(row.copy(), s, m) for row, s, m in zip(uniforms, sigma[:, 0], mean[:, 0])]
-        block = montecarlo._to_normal(uniforms.copy(), sigma, mean, *([] if rows is None else [rows]))
+        block = montecarlo._to_normal(uniforms.copy(), sigma, mean)
         assert block.flags.c_contiguous and np.array_equal(block, alone)
 
 
@@ -922,6 +935,12 @@ class TestExports:
         assert samples_csv(batch, 7, 3) == samples_csv(batch, 7, 7) == ""
         assert samples_csv(batch, 0, 0) == whole[0]
         assert samples_csv(batch, np.int64(3), np.int64(5)).splitlines(keepends=True) == whole[4:6]
+
+    def test_samples_csv_takes_a_row_beyond_a_double(self, actuator_chain):
+        # Counts are compared exactly: stop is capped at n, and no row lies at or past 10**400.
+        batch = sample_chain(actuator_chain, IT6, 16, 5)
+        assert samples_csv(batch, 0, 10**400) == samples_csv(batch)
+        assert samples_csv(batch, 10**400) == ""
 
     def test_samples_csv_transforms_once_per_block(self, actuator_chain, monkeypatch):
         batch = sample_chain(actuator_chain, IT6, 50_000, 5)
