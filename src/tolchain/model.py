@@ -80,7 +80,7 @@ MAX_SEED = 2**64
 
 
 def usable_cores() -> int:
-    """The cores this process may run on: the default worker count and the cap of the sampling pool."""
+    """The cores this process may run on: the default worker count and the cap of the synthesis count's threads."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 

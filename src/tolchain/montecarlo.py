@@ -50,11 +50,6 @@ __all__ = [
     "statistical_interval",
 ]
 
-# Rows per chunk job, at most.
-_CHUNK = 65536
-# Chunks per thread handed to the pool at a time, at most: a pending chunk holds
-# a future, so a window keeps a long map's memory flat.
-_WINDOW = 64
 # Rows per block of the samples export, few enough that a block's re-drawn
 # columns and text stay a few hundred kilobytes.
 _EXPORT_ROWS = 4096
@@ -404,24 +399,15 @@ def sample_chain(
 
 
 @contextmanager
-def _chunk_jobs(n: int, workers: int) -> Iterator[Callable[[Callable], list]]:
-    """``run``, where ``run(job)`` is ``[job(start, stop), ...]`` over [0, n) in order: equal chunks of at most
-    _CHUNK rows, in a multiple of the thread count, run on a pool capped at the usable cores, _WINDOW chunks per
-    thread at a time, or in the caller at one thread."""
+def _chunk_jobs(n: int, workers: int) -> Iterator[Callable[[Callable], Any]]:
+    """``run``, where ``run(job)`` is the sum of ``job(start, stop)`` over ``min(workers, usable cores, n)`` equal,
+    contiguous parts of [0, n), one per thread of a pool, or in the caller at one thread."""
     check("workers", workers)
-    threads = min(workers, usable_cores())
-    chunks = -(-n // _CHUNK)
-    chunks += -chunks % threads
-    step = -(-n // chunks)
-    window = _WINDOW * threads * step  # rows
+    threads = min(workers, usable_cores(), n)
+    cuts = [n * k // threads for k in range(threads + 1)]
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         apply = map if pool is None else pool.map
-
-        def run(job: Callable) -> list:
-            spans = (range(first, min(first + window, n), step) for first in range(0, n, window))
-            return [done for span in spans for done in apply(lambda start: job(start, min(start + step, n)), span)]
-
-        yield run
+        yield lambda job: sum(apply(job, cuts, cuts[1:]))
 
 
 def _streams(chain: ToleranceChain, rule: SigmaRule) -> dict[str, tuple[int, float, DistributionParams]]:
@@ -514,6 +500,9 @@ def _scrap_report(n: int, below: int, above: int, nans: int) -> ScrapReport:
 # Rows per block of the scrap count. Each thread holds a block's uniforms of
 # every dimension; smaller blocks lose time to the interpreter lock.
 _COUNT_ROWS = 16384
+# Rows whose undecided draws the scrap count transforms at once, at most: a
+# multiple of _COUNT_ROWS that bounds what a thread holds at any n.
+_CHUNK = 4 * _COUNT_ROWS
 
 
 @cache
@@ -534,8 +523,8 @@ def _bracket() -> np.ndarray:
 
 def _scrap_counts(chain: ToleranceChain, rule: SigmaRule, seed: int, run: Callable) -> ScrapReport:
     """``scrap_rate(sample_chain(chain, rule, n, seed).fc_samples, chain.condition)`` for the ``n`` rows of ``run``
-    (from ``_chunk_jobs``), by one job per chunk over every dimension, without holding the samples. The condition
-    must have a bound.
+    (from ``_chunk_jobs``), by one job per thread's part of the rows over every dimension, without holding the
+    samples. The condition must have a bound.
 
     Each draw's bucket brackets its term: the bucket's edges carried through
     the sampler's own steps. The terms' brackets add up in chain order, and
@@ -552,14 +541,14 @@ def _scrap_counts(chain: ToleranceChain, rule: SigmaRule, seed: int, run: Callab
             tables.append(ends if coefficient > 0.0 else ends[:, ::-1].copy())  # the low edge's term is the greater
     # Rows sigma, mean and coefficient, each a column over the dimensions.
     columns = np.array([(p.sigma, p.mean, c) for _, c, p in streams]).T[:, :, None]
-    return _scrap_report(*map(sum, zip(*run(partial(_count_rows, seed, tables, columns, chain.condition.bounds)))))
+    return _scrap_report(*run(partial(_count_rows, seed, tables, columns, chain.condition.bounds)).tolist())
 
 
 def _count_rows(seed: int, tables: list[np.ndarray], columns: np.ndarray, bounds: tuple[float, float], start: int,
-                stop: int) -> tuple[int, int, int, int]:
-    """``(rows, below, above, NaN)`` counts of the samples on rows [start, stop): the brackets block by block, then
-    the undecided rows of every block by one transform. ``tables`` holds each dimension's least and greatest term
-    by bucket, and ``columns`` their sigma, mean and coefficient."""
+                stop: int) -> np.ndarray:
+    """``(rows, below, above, NaN)`` counts of the samples on rows [start, stop), as int64: the brackets block by
+    block, then the undecided rows of every _CHUNK rows, and of those left at the end, by one transform. ``tables``
+    holds each dimension's least and greatest term by bucket, and ``columns`` their sigma, mean and coefficient."""
     low, high = bounds
     sigma, mean, coefficient = columns
     block = min(_COUNT_ROWS, stop - start)
@@ -567,37 +556,36 @@ def _count_rows(seed: int, tables: list[np.ndarray], columns: np.ndarray, bounds
     # Reused block by block: fresh arrays cost page faults, which threads take in turn.
     uniforms, buckets = np.empty((len(tables), block)), np.empty((len(tables), block), dtype=np.intp)
     sums, terms = np.empty((block, 2)), np.empty((block, 2))
-    below = above = 0
-    undecided = []
-    for first in range(start, stop, block):
-        rows = min(block, stop - first)
-        drawn, bucket, bracket, term = uniforms[:, :rows], buckets[:, :rows], sums[:rows], terms[:rows]
-        for stream, row in zip(streams, drawn):
-            stream.random(out=row)
-        np.multiply(drawn, 4096.0, out=bucket, casting="unsafe")  # the top 12 bits
-        with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow, or be inf - inf
-            np.take(tables[0], bucket[0], axis=0, out=bracket, mode="clip")
-            for table, index in zip(tables[1:], bucket[1:]):
-                np.take(table, index, axis=0, out=term, mode="clip")
-                bracket += term
-        # No term is NaN, as no coefficient is 0, so a NaN sample needs +inf and
-        # -inf. A hi that is a number rules out +inf in every term and partial
-        # sum of the sample, and a lo that is a number rules out -inf: a row
-        # either end decides has a sample that is no NaN and lies on the same
-        # side of the bound. A NaN end, from inf - inf, decides nothing.
-        lo, hi = bracket.T
-        sure_below, sure_above = hi < low, lo > high
-        below += np.count_nonzero(sure_below)
-        above += np.count_nonzero(sure_above)
-        undecided.append(drawn[:, np.flatnonzero(~(sure_below | sure_above | (lo >= low) & (hi <= high)))])
-    draws = _to_normal(np.concatenate(undecided, axis=1), sigma, mean)
-    draws *= coefficient
-    fc = np.zeros(draws.shape[1])
-    for draw in draws:  # in chain order from +0.0, as sample_chain adds them
-        fc += draw
-    below += np.count_nonzero(fc < low)
-    above += np.count_nonzero(fc > high)
-    return stop - start, int(below), int(above), int(np.count_nonzero(np.isnan(fc)))
+    counts = np.array([stop - start, 0, 0, 0], dtype=np.int64)
+    for chunk in range(start, stop, _CHUNK):
+        undecided = []
+        for first in range(chunk, min(chunk + _CHUNK, stop), block):
+            rows = min(block, stop - first)
+            drawn, bucket, bracket, term = uniforms[:, :rows], buckets[:, :rows], sums[:rows], terms[:rows]
+            for stream, row in zip(streams, drawn):
+                stream.random(out=row)
+            np.multiply(drawn, 4096.0, out=bucket, casting="unsafe")  # the top 12 bits
+            with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow, or be inf - inf
+                np.take(tables[0], bucket[0], axis=0, out=bracket, mode="clip")
+                for table, index in zip(tables[1:], bucket[1:]):
+                    np.take(table, index, axis=0, out=term, mode="clip")
+                    bracket += term
+            # No term is NaN, as no coefficient is 0, so a NaN sample needs +inf and
+            # -inf. A hi that is a number rules out +inf in every term and partial
+            # sum of the sample, and a lo that is a number rules out -inf: a row
+            # either end decides has a sample that is no NaN and lies on the same
+            # side of the bound. A NaN end, from inf - inf, decides nothing.
+            lo, hi = bracket.T
+            sure_below, sure_above = hi < low, lo > high
+            counts[1:3] += np.count_nonzero(sure_below), np.count_nonzero(sure_above)
+            undecided.append(drawn[:, np.flatnonzero(~(sure_below | sure_above | (lo >= low) & (hi <= high)))])
+        draws = _to_normal(np.concatenate(undecided, axis=1), sigma, mean)
+        draws *= coefficient
+        fc = np.zeros(draws.shape[1])
+        for draw in draws:  # in chain order from +0.0, as sample_chain adds them
+            fc += draw
+        counts[1:] += np.count_nonzero(fc < low), np.count_nonzero(fc > high), np.count_nonzero(np.isnan(fc))
+    return counts
 
 
 def analytic_scrap(chain: ToleranceChain, rule: SigmaRule) -> float:

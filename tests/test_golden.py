@@ -66,8 +66,8 @@ CASES = {
     ),
     "simulate-output-w1": ([*EXPORT, "--workers", "1"], EXPORT_HASHES),
     "simulate-output-w2": ([*EXPORT, "--workers", "2"], EXPORT_HASHES),
-    # n not a multiple of 4, across a 65536-sample chunk and several export
-    # row blocks, with an uneven split over three threads.
+    # n not a multiple of 4, across several transform and export row blocks,
+    # at a worker count that does not divide n.
     "simulate-output-odd-w3": (
         ["simulate", *CHAIN, "--samples", "65541", "--seed", "7", "--workers", "3", "--output", "r.json"],
         {

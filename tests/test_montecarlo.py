@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -227,7 +228,7 @@ class TestSampleChain:
             assert np.array_equal(a.per_dimension[name], b.per_dimension[name])
 
     def test_bit_identical_across_worker_counts(self, actuator_chain):
-        # 70k samples spans two generator chunks, so parallel assembly is exercised.
+        # 70k samples span three transform blocks, all drawn in the calling thread at any worker count.
         serial = sample_chain(actuator_chain, IT6, 70_000, 7)
         threaded = sample_chain(actuator_chain, IT6, 70_000, 7, workers=4)
         assert np.array_equal(serial.fc_samples, threaded.fc_samples)
@@ -358,15 +359,15 @@ class TestSampleChain:
         mapped = []
 
         class SerialPool:
-            """Records the pool size and the chunk count of each map; runs the chunks in the calling thread."""
+            """Records the pool size and the part count of each map; runs the parts in the calling thread."""
 
             def __init__(self, max_workers):
                 pools.append(max_workers)
 
-            def map(self, fn, iterable):
-                spans = list(iterable)
+            def map(self, fn, *iterables):
+                spans = list(zip(*iterables))
                 mapped.append(len(spans))
-                return map(fn, spans)
+                return (fn(*span) for span in spans)
 
             def __enter__(self):
                 return self
@@ -376,10 +377,9 @@ class TestSampleChain:
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(montecarlo, "usable_cores", lambda: cores)
-        # 1000 workers are planned as the capped thread count: 1e5 samples need
-        # two chunks of at most 65536, rounded up to a multiple of the threads,
-        # and the synthesis count maps them once. One thread runs them in the
-        # caller, with no pool.
+        # 1000 workers are planned as the capped thread count: 1e5 samples are
+        # one contiguous part per thread, and the synthesis count maps them
+        # once. One thread runs its one part in the caller, with no pool.
         counted = scrap_counts(actuator_chain, IT6, 100_000, 7, 1000)
         assert pools == ([threads] if threads > 1 else [])
         assert mapped == ([threads] if threads > 1 else [])
@@ -408,30 +408,54 @@ class TestSampleChain:
         assert model.usable_cores() == usable
 
     @pytest.mark.parametrize("n", [1, 5, 65_541, 100_003])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_chunk_jobs_cover_the_rows_in_order(self, n, workers):
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_chunk_jobs_cover_the_rows_in_order(self, monkeypatch, n, workers):
+        # One contiguous part per thread, the threads capped at the cores and at n.
+        monkeypatch.setattr(montecarlo, "usable_cores", lambda: 3)
+        spans = []
+
+        def job(start, stop):
+            spans.append((start, stop))
+            return np.array([start, stop])
+
         with montecarlo._chunk_jobs(n, workers) as run:
-            spans = run(lambda start, stop: (start, stop))
+            total = run(job)
+        spans.sort()
+        assert len(spans) == min(workers, 3, n)
         assert spans[0][0] == 0 and spans[-1][1] == n
         assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
-        assert all(0 < stop - start <= montecarlo._CHUNK for start, stop in spans)
+        sizes = [stop - start for start, stop in spans]
+        assert max(sizes) - min(sizes) <= 1
+        assert total.tolist() == [sum(start for start, _ in spans), sum(stop for _, stop in spans)]
 
     def test_chunk_plan_holds_nothing_per_chunk(self):
-        # 1e11 rows are about 1.5 million chunks; entering the plan lists none of them.
+        # 1e11 rows at 2 threads are 2 parts; entering the plan holds their cuts and nothing per row.
         def enter():
             with montecarlo._chunk_jobs(10**11, 2):
                 pass
 
         assert traced_peak(enter) < 64 * 1024
 
-    def test_chunk_map_holds_a_bounded_window(self):
-        # 2e8 rows are 3052 chunks, and the pool holds a future, about 1.6 KB,
-        # for each chunk it has been handed and not yet returned.
+    def test_chunk_map_holds_nothing_per_row(self, monkeypatch):
+        # 2e8 rows at 2 threads are 2 parts, and run sums the jobs' counts: the
+        # pool is handed one job per thread, and nothing is held per row.
+        monkeypatch.setattr(montecarlo, "usable_cores", lambda: 2)
+        handed = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def map(self, fn, *iterables):
+                items = list(zip(*iterables))
+                handed.extend(items)
+                return super().map(lambda item: fn(*item), items)
+
         def enter_and_run():
             with montecarlo._chunk_jobs(2 * 10**8, 2) as run:
-                run(lambda start, stop: None)
+                run(lambda start, stop: np.zeros(4, np.int64))
 
-        assert traced_peak(enter_and_run) < 1024 * 1024
+        assert traced_peak(enter_and_run) < 64 * 1024
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        enter_and_run()
+        assert handed == [(0, 10**8), (10**8, 2 * 10**8)]
 
     def test_workers_default_to_the_usable_cores(self):
         assert inspect.signature(sample_chain).parameters["workers"].default == model.usable_cores()
@@ -483,7 +507,7 @@ class TestSampleChain:
         batch = sample_chain(actuator_chain, IT6, n, 3, workers=1)
         assert traced_peak(lambda: batch.per_dimension["a3"]) <= 1.05 * 8 * n
 
-    @pytest.mark.parametrize("n", [1, 4097, 65_541, 100_003])
+    @pytest.mark.parametrize("n", [1, 4097, 65_541, 100_003, 200_003])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("bounds", ["actuator", "tight"])
     def test_scrap_counts_equal_sample_chains(self, actuator_chain, n, workers, bounds):
@@ -555,9 +579,9 @@ class TestSampleChain:
         assert draws[0] == pytest.approx(ndtri(1.0 - 2.0**-52), rel=NDTRI_ULPS * 2.0**-52)
 
     def test_scrap_count_memory_does_not_grow_with_n(self, actuator_chain):
-        # A job holds one block's uniforms, buckets and brackets, and its few
-        # undecided rows, whatever n is; one worker keeps the peak free of how
-        # the threads overlap.
+        # A part holds one block's uniforms, buckets and brackets, and the few
+        # undecided rows of at most _CHUNK rows, whatever n is; one worker keeps
+        # the peak free of how the threads overlap.
         def peak(n):
             with montecarlo._chunk_jobs(n, 1) as run:
                 return traced_peak(lambda: montecarlo._scrap_counts(actuator_chain, IT6, 3, run))
@@ -567,7 +591,8 @@ class TestSampleChain:
         assert large <= 8 * 2_000_000 / 4
 
     def test_scrap_count_transforms_once_per_job(self, actuator_chain, monkeypatch):
-        # The undecided rows of a job's blocks, every dimension, go through one transform.
+        # A part's undecided rows, every dimension, go through one transform per
+        # _CHUNK rows: 1e5 rows at one worker are two.
         expected = scrap_counts(actuator_chain, IT6, 100_000, 7, 1)
         shapes = counted_transforms(monkeypatch)
         assert scrap_counts(actuator_chain, IT6, 100_000, 7, 1) == expected

@@ -336,8 +336,11 @@ class TestSynthesizeSampling:
         assert len(pools) == 1
         assert pools[0].shut
 
-    def test_one_transform_per_count_job(self, actuator_chain, monkeypatch):
-        # 1e5 rows are two chunk jobs at 1 or 2 threads; each transforms its undecided rows once.
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_one_transform_per_count_job(self, actuator_chain, monkeypatch, cores):
+        # 1e5 rows are two transforms an iteration: at 2 threads one per part of
+        # 50000 rows, at 1 thread one at row 65536 of its one part and one at its end.
+        monkeypatch.setattr(montecarlo, "usable_cores", lambda: cores)
         shapes = counted_transforms(monkeypatch)
         cfg = SynthesisConfig(target_scrap=1e-3, n_per_iteration=100_000, seed=7)
         report = synthesize(actuator_chain, IT6, cfg, workers=2)
