@@ -474,8 +474,8 @@ def scrap_rate(samples: Sequence[float] | np.ndarray, condition: FunctionalCondi
     """Fraction of samples strictly outside the condition's bounds.
 
     A missing bound contributes nothing; +/-inf counts as below or above, and
-    NaN is an error. The confidence half-width is the normal approximation
-    1.96 * sqrt(p(1-p)/n), adequate for n in the thousands and beyond.
+    NaN is an error. The Wald half-width 1.96 * sqrt(p(1-p)/n) has zero width
+    at zero events and is unreliable while n*p is small (ROADMAP item 2).
     """
     if condition is None or not condition.is_bounded:
         raise ValueError("scrap_rate requires a condition with at least one bound")
@@ -500,9 +500,6 @@ def _scrap_report(n: int, below: int, above: int, nans: int) -> ScrapReport:
 # Rows per block of the scrap count. Each thread holds a block's uniforms of
 # every dimension; smaller blocks lose time to the interpreter lock.
 _COUNT_ROWS = 16384
-# Rows whose undecided draws the scrap count transforms at once, at most: a
-# multiple of _COUNT_ROWS that bounds what a thread holds at any n.
-_CHUNK = 4 * _COUNT_ROWS
 
 
 @cache
@@ -523,8 +520,8 @@ def _bracket() -> np.ndarray:
 
 def _scrap_counts(chain: ToleranceChain, rule: SigmaRule, seed: int, run: Callable) -> ScrapReport:
     """``scrap_rate(sample_chain(chain, rule, n, seed).fc_samples, chain.condition)`` for the ``n`` rows of ``run``
-    (from ``_chunk_jobs``), by one job per thread's part of the rows over every dimension, without holding the
-    samples. The condition must have a bound.
+    (from ``_chunk_jobs``), by one job per thread's part of the rows, which holds a block of every dimension and
+    transforms its undecided rows each time they fill a block, and at its end. The condition must have a bound.
 
     Each draw's bucket brackets its term: the bucket's edges carried through
     the sampler's own steps. The terms' brackets add up in chain order, and
@@ -547,44 +544,46 @@ def _scrap_counts(chain: ToleranceChain, rule: SigmaRule, seed: int, run: Callab
 def _count_rows(seed: int, tables: list[np.ndarray], columns: np.ndarray, bounds: tuple[float, float], start: int,
                 stop: int) -> np.ndarray:
     """``(rows, below, above, NaN)`` counts of the samples on rows [start, stop), as int64: the brackets block by
-    block, then the undecided rows of every _CHUNK rows, and of those left at the end, by one transform. ``tables``
-    holds each dimension's least and greatest term by bucket, and ``columns`` their sigma, mean and coefficient."""
+    block, then the undecided rows by one transform each time they fill a block, and at the end. ``tables`` holds
+    each dimension's least and greatest term by bucket, and ``columns`` their sigma, mean and coefficient."""
     low, high = bounds
     sigma, mean, coefficient = columns
     block = min(_COUNT_ROWS, stop - start)
     streams = [_stream(seed, index, start) for index in range(len(tables))]
     # Reused block by block: fresh arrays cost page faults, which threads take in turn.
     uniforms, buckets = np.empty((len(tables), block)), np.empty((len(tables), block), dtype=np.intp)
-    sums, terms = np.empty((block, 2)), np.empty((block, 2))
-    counts = np.array([stop - start, 0, 0, 0], dtype=np.int64)
-    for chunk in range(start, stop, _CHUNK):
-        undecided = []
-        for first in range(chunk, min(chunk + _CHUNK, stop), block):
-            rows = min(block, stop - first)
-            drawn, bucket, bracket, term = uniforms[:, :rows], buckets[:, :rows], sums[:rows], terms[:rows]
-            for stream, row in zip(streams, drawn):
-                stream.random(out=row)
-            np.multiply(drawn, 4096.0, out=bucket, casting="unsafe")  # the top 12 bits
-            with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow, or be inf - inf
-                np.take(tables[0], bucket[0], axis=0, out=bracket, mode="clip")
-                for table, index in zip(tables[1:], bucket[1:]):
-                    np.take(table, index, axis=0, out=term, mode="clip")
-                    bracket += term
-            # No term is NaN, as no coefficient is 0, so a NaN sample needs +inf and
-            # -inf. A hi that is a number rules out +inf in every term and partial
-            # sum of the sample, and a lo that is a number rules out -inf: a row
-            # either end decides has a sample that is no NaN and lies on the same
-            # side of the bound. A NaN end, from inf - inf, decides nothing.
-            lo, hi = bracket.T
-            sure_below, sure_above = hi < low, lo > high
-            counts[1:3] += np.count_nonzero(sure_below), np.count_nonzero(sure_above)
-            undecided.append(drawn[:, np.flatnonzero(~(sure_below | sure_above | (lo >= low) & (hi <= high)))])
-        draws = _to_normal(np.concatenate(undecided, axis=1), sigma, mean)
-        draws *= coefficient
-        fc = np.zeros(draws.shape[1])
-        for draw in draws:  # in chain order from +0.0, as sample_chain adds them
-            fc += draw
-        counts[1:] += np.count_nonzero(fc < low), np.count_nonzero(fc > high), np.count_nonzero(np.isnan(fc))
+    sums, terms, undecided = np.empty((block, 2)), np.empty((block, 2)), np.empty((len(tables), 2 * block), order="F")
+    counts, held = np.array([stop - start, 0, 0, 0], dtype=np.int64), 0
+    for first in range(start, stop, block):
+        rows = min(block, stop - first)
+        drawn, bucket, bracket, term = uniforms[:, :rows], buckets[:, :rows], sums[:rows], terms[:rows]
+        for stream, row in zip(streams, drawn):
+            stream.random(out=row)
+        np.multiply(drawn, 4096.0, out=bucket, casting="unsafe")  # the top 12 bits
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow, or be inf - inf
+            np.take(tables[0], bucket[0], axis=0, out=bracket, mode="clip")
+            for table, index in zip(tables[1:], bucket[1:]):
+                np.take(table, index, axis=0, out=term, mode="clip")
+                bracket += term
+        # No term is NaN, as no coefficient is 0, so a NaN sample needs +inf and
+        # -inf. A hi that is a number rules out +inf in every term and partial
+        # sum of the sample, and a lo that is a number rules out -inf: a row
+        # either end decides has a sample that is no NaN and lies on the same
+        # side of the bound. A NaN end, from inf - inf, decides nothing.
+        lo, hi = bracket.T
+        sure_below, sure_above = hi < low, lo > high
+        counts[1:3] += np.count_nonzero(sure_below), np.count_nonzero(sure_above)
+        kept = np.flatnonzero(~(sure_below | sure_above | (lo >= low) & (hi <= high)))
+        undecided[:, held:held + kept.size] = drawn[:, kept]
+        held += kept.size
+        if held >= block or first + rows == stop:  # so held stays below two blocks
+            draws = _to_normal(undecided[:, :held], sigma, mean)  # leading columns: contiguous in Fortran order
+            draws *= coefficient
+            fc = np.zeros(held)
+            for draw in draws:  # in chain order from +0.0, as sample_chain adds them
+                fc += draw
+            counts[1:] += np.count_nonzero(fc < low), np.count_nonzero(fc > high), np.count_nonzero(np.isnan(fc))
+            held = 0
     return counts
 
 

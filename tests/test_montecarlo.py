@@ -5,6 +5,7 @@ import math
 import os
 import re
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
@@ -579,9 +580,9 @@ class TestSampleChain:
         assert draws[0] == pytest.approx(ndtri(1.0 - 2.0**-52), rel=NDTRI_ULPS * 2.0**-52)
 
     def test_scrap_count_memory_does_not_grow_with_n(self, actuator_chain):
-        # A part holds one block's uniforms, buckets and brackets, and the few
-        # undecided rows of at most _CHUNK rows, whatever n is; one worker keeps
-        # the peak free of how the threads overlap.
+        # A part holds one block's uniforms, buckets and brackets, and fewer than
+        # two blocks of undecided rows, whatever n is; one worker keeps the peak
+        # free of how the threads overlap.
         def peak(n):
             with montecarlo._chunk_jobs(n, 1) as run:
                 return traced_peak(lambda: montecarlo._scrap_counts(actuator_chain, IT6, 3, run))
@@ -590,13 +591,44 @@ class TestSampleChain:
         assert large <= 1.1 * small
         assert large <= 8 * 2_000_000 / 4
 
-    def test_scrap_count_transforms_once_per_job(self, actuator_chain, monkeypatch):
-        # A part's undecided rows, every dimension, go through one transform per
-        # _CHUNK rows: 1e5 rows at one worker are two.
-        expected = scrap_counts(actuator_chain, IT6, 100_000, 7, 1)
+    @pytest.mark.parametrize("n", [100_000, 200_003])
+    def test_scrap_count_transforms_once_per_job(self, actuator_chain, monkeypatch, n):
+        # A part's undecided rows, every dimension, go through one transform
+        # when they fill a block, and at its end. At one worker, those of 1e5
+        # and of 200003 rows fill no block of 16384: one transform each.
+        expected = scrap_counts(actuator_chain, IT6, n, 7, 1)
         shapes = counted_transforms(monkeypatch)
-        assert scrap_counts(actuator_chain, IT6, 100_000, 7, 1) == expected
-        assert [rows for rows, _ in shapes] == [4, 4]
+        assert scrap_counts(actuator_chain, IT6, n, 7, 1) == expected
+        assert [dims for dims, _ in shapes] == [4]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scrap_count_transforms_when_undecided_rows_fill_a_block(self, actuator_chain, monkeypatch, workers):
+        # In blocks of 16 rows, each part of the tight chain's 50000 rows fills
+        # a block of undecided rows more than once, and never holds two.
+        chain = tight(actuator_chain)
+        expected = scrap_rate(sample_chain(chain, IT6, 50_000, 7).fc_samples, chain.condition)
+        montecarlo._bracket()  # built first, so that its own transform is not counted
+        part, parts = threading.local(), []
+        count, transform = montecarlo._count_rows, montecarlo._to_normal
+
+        def count_part(*args):
+            part.rows = []
+            parts.append(part.rows)
+            return count(*args)
+
+        def counted(uniforms, *args):
+            part.rows.append(uniforms.shape[1])
+            return transform(uniforms, *args)
+
+        monkeypatch.setattr(montecarlo, "_COUNT_ROWS", 16)
+        monkeypatch.setattr(montecarlo, "usable_cores", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_count_rows", count_part)
+        monkeypatch.setattr(montecarlo, "_to_normal", counted)
+        assert scrap_counts(chain, IT6, 50_000, 7, workers) == expected
+        assert len(parts) == workers
+        for rows in parts:
+            assert len(rows) > 1
+            assert max(rows) < 32
 
     def test_overflowing_spread_names_the_dimension(self):
         # a's draws are finite, but their squared deviations, near 1e399, are not.

@@ -338,14 +338,14 @@ class TestSynthesizeSampling:
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_one_transform_per_count_job(self, actuator_chain, monkeypatch, cores):
-        # 1e5 rows are two transforms an iteration: at 2 threads one per part of
-        # 50000 rows, at 1 thread one at row 65536 of its one part and one at its end.
+        # A part's undecided rows fill no block of 16384 rows, so each part
+        # transforms once, at its end: 1 per iteration at 1 thread, 2 at 2.
         monkeypatch.setattr(montecarlo, "usable_cores", lambda: cores)
         shapes = counted_transforms(monkeypatch)
         cfg = SynthesisConfig(target_scrap=1e-3, n_per_iteration=100_000, seed=7)
         report = synthesize(actuator_chain, IT6, cfg, workers=2)
         assert len(report.iterations) == 36
-        assert len(shapes) == 72
+        assert len(shapes) == 36 * cores
 
     def test_zero_workers_is_rejected_before_anything_is_drawn(self, actuator_chain, monkeypatch):
         drawn = []
