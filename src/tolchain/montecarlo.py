@@ -16,7 +16,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
-from functools import cache, partial
+from functools import partial
 from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -326,6 +326,17 @@ def _to_normal(uniforms: np.ndarray, sigma: float | np.ndarray, mean: float | np
     return uniforms
 
 
+# Row b: bounds on ndtri of every value _to_normal passes it from a uniform whose top 12 bits are b, for the
+# scrap count. Built once at import, and read-only, as every thread of every count shares it. Bucket b's uniforms
+# lie in [b/4096, (b+1)/4096), and _to_normal is monotone up to its error, so it maps those two ends to bounds on
+# the bucket's draws. _ndtri's central bits are scipy's, its tails lie within 6 ulps of scipy's (tested), and
+# cephes documents scipy's peak error as 7.2e-16, so a draw is within about 2e-15 relative of the true quantile
+# and falls out of order by less than 4e-15. Each edge is widened by 1e-12 relative, 250 times that.
+_BRACKET = np.lib.stride_tricks.sliding_window_view(_to_normal(np.append(np.arange(4096) / 4096, 1.0), 1.0, 0.0), 2)
+_BRACKET = _BRACKET + np.abs(_BRACKET) * [-1e-12, 1e-12]
+_BRACKET.setflags(write=False)
+
+
 class _Columns(Mapping[str, np.ndarray]):
     """Each dimension's samples, re-drawn from its Philox stream on every access."""
 
@@ -502,50 +513,33 @@ def _scrap_report(n: int, below: int, above: int, nans: int) -> ScrapReport:
 _COUNT_ROWS = 16384
 
 
-@cache
-def _bracket() -> np.ndarray:
-    """Row b: bounds on ndtri of every value _to_normal passes it from a uniform whose top 12 bits are b. Built
-    on first use, so that only synthesis holds it."""
-    # Bucket b's uniforms lie in [b/4096, (b+1)/4096), and _to_normal is monotone
-    # up to its error, so it maps those two ends to bounds on the bucket's draws.
-    # _ndtri's central bits are scipy's, its tails lie within 6 ulps of scipy's
-    # (tested), and cephes documents scipy's peak error as 7.2e-16, so a draw is
-    # within about 2e-15 relative of the true quantile and falls out of order by
-    # less than 4e-15. Each edge is widened by 1e-12 relative, 250 times that.
-    edges = _to_normal(np.append(np.arange(4096) / 4096, 1.0), 1.0, 0.0)
-    bracket = np.stack([edges[:-1] - np.abs(edges[:-1]) * 1e-12, edges[1:] + np.abs(edges[1:]) * 1e-12], axis=1)
-    bracket.setflags(write=False)
-    return bracket
-
-
 def _scrap_counts(chain: ToleranceChain, rule: SigmaRule, seed: int, run: Callable) -> ScrapReport:
     """``scrap_rate(sample_chain(chain, rule, n, seed).fc_samples, chain.condition)`` for the ``n`` rows of ``run``
     (from ``_chunk_jobs``), by one job per thread's part of the rows, which holds a block of every dimension and
     transforms its undecided rows each time they fill a block, and at its end. The condition must have a bound.
 
-    Each draw's bucket brackets its term: the bucket's edges carried through
-    the sampler's own steps. The terms' brackets add up in chain order, and
-    IEEE rounding is monotone, so a row's bracket holds its sample. Only a row
-    whose bracket has a NaN end or straddles a bound is drawn exactly.
+    Each draw's bucket brackets its term: the bucket's ``_BRACKET`` edges
+    carried through the sampler's own steps. The terms' brackets add up in chain
+    order, and IEEE rounding is monotone, so a row's bracket holds its sample.
+    Only a row whose bracket has a NaN end or straddles a bound is drawn exactly.
     """
-    streams = list(_streams(chain, rule).values())
-    tables = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an edge may overflow where no draw does
-        for _, coefficient, params in streams:
-            ends = _bracket() * params.sigma
-            ends += params.mean
-            ends *= coefficient
-            tables.append(ends if coefficient > 0.0 else ends[:, ::-1].copy())  # the low edge's term is the greater
     # Rows sigma, mean and coefficient, each a column over the dimensions.
-    columns = np.array([(p.sigma, p.mean, c) for _, c, p in streams]).T[:, :, None]
+    columns = np.array([(p.sigma, p.mean, c) for _, c, p in _streams(chain, rule).values()]).T[:, :, None]
+    sigma, mean, coefficient = columns[..., None]
+    tables = np.where(coefficient < 0.0, _BRACKET[:, ::-1], _BRACKET)  # the low edge's term is the greater
+    with np.errstate(over="ignore", invalid="ignore"):  # an edge may overflow where no draw does
+        tables *= sigma
+        tables += mean
+        tables *= coefficient
     return _scrap_report(*run(partial(_count_rows, seed, tables, columns, chain.condition.bounds)).tolist())
 
 
-def _count_rows(seed: int, tables: list[np.ndarray], columns: np.ndarray, bounds: tuple[float, float], start: int,
+def _count_rows(seed: int, tables: np.ndarray, columns: np.ndarray, bounds: tuple[float, float], start: int,
                 stop: int) -> np.ndarray:
     """``(rows, below, above, NaN)`` counts of the samples on rows [start, stop), as int64: the brackets block by
-    block, then the undecided rows by one transform each time they fill a block, and at the end. ``tables`` holds
-    each dimension's least and greatest term by bucket, and ``columns`` their sigma, mean and coefficient."""
+    block, then the undecided rows by one transform each time they fill a block, and at the end. ``tables[d]``
+    holds dimension d's least and greatest term by bucket, and ``columns`` the dimensions' sigma, mean and
+    coefficient."""
     low, high = bounds
     sigma, mean, coefficient = columns
     block = min(_COUNT_ROWS, stop - start)

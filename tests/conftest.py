@@ -47,9 +47,7 @@ def traced_peak(run):
 
 
 def counted_transforms(monkeypatch) -> list:
-    """The shape of the uniforms at each later call of ``montecarlo._to_normal``, which still transforms them.
-    ``_bracket`` is built first, so that its own transform is not counted."""
-    montecarlo._bracket()
+    """The shape of the uniforms at each later call of ``montecarlo._to_normal``, which still transforms them."""
     shapes, transform = [], montecarlo._to_normal
 
     def counted(uniforms, *args):

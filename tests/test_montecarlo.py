@@ -565,10 +565,11 @@ class TestSampleChain:
         tops = np.concatenate([buckets, buckets + 2**41 - 1, np.random.default_rng(3).integers(0, 2**53, 10**6)])
         uniforms = tops * 2.0**-53
         draws = montecarlo._to_normal(uniforms.copy(), 1.0, 0.0)
-        low, high = montecarlo._bracket()[tops >> 41].T
+        low, high = montecarlo._BRACKET[tops >> 41].T
         assert np.all(low <= draws)
         assert np.all(draws <= high)
-        assert np.all(np.isfinite(montecarlo._bracket()))
+        assert np.all(np.isfinite(montecarlo._BRACKET))
+        assert not montecarlo._BRACKET.flags.writeable  # every thread of every count shares it
 
     def test_the_top_word_draws_a_finite_normal(self):
         # Word 2**64 - 1 has uniform 1 - 2**-53, and that plus 2**-54 would round
@@ -579,17 +580,25 @@ class TestSampleChain:
         assert draws[0] == draws[1] == montecarlo._ndtri(np.array([1.0 - 2.0**-52]))[0]
         assert draws[0] == pytest.approx(ndtri(1.0 - 2.0**-52), rel=NDTRI_ULPS * 2.0**-52)
 
-    def test_scrap_count_memory_does_not_grow_with_n(self, actuator_chain):
+    @pytest.mark.parametrize("bounds, rows, n", [("actuator", 16384, 200_000), ("tight", 64, 50_000)],
+                             ids=["actuator", "tight-64"])
+    def test_scrap_count_memory_does_not_grow_with_n(self, actuator_chain, monkeypatch, bounds, rows, n):
         # A part holds one block's uniforms, buckets and brackets, and fewer than
         # two blocks of undecided rows, whatever n is; one worker keeps the peak
-        # free of how the threads overlap.
+        # free of how the threads overlap. The actuator chain's undecided rows
+        # fill no block of 16384 at n or 10 n. In blocks of 64 the tight chain's
+        # fill one and are transformed 2 times at n and 12 times at 10 n, so both
+        # peaks hold the most a part ever holds.
+        chain = tight(actuator_chain) if bounds == "tight" else actuator_chain
+        monkeypatch.setattr(montecarlo, "_COUNT_ROWS", rows)
+
         def peak(n):
             with montecarlo._chunk_jobs(n, 1) as run:
-                return traced_peak(lambda: montecarlo._scrap_counts(actuator_chain, IT6, 3, run))
+                return traced_peak(lambda: montecarlo._scrap_counts(chain, IT6, 3, run))
 
-        small, large = peak(200_000), peak(2_000_000)
+        small, large = peak(n), peak(10 * n)
         assert large <= 1.1 * small
-        assert large <= 8 * 2_000_000 / 4
+        assert large <= 8 * 10 * n / 4
 
     @pytest.mark.parametrize("n", [100_000, 200_003])
     def test_scrap_count_transforms_once_per_job(self, actuator_chain, monkeypatch, n):
@@ -607,7 +616,6 @@ class TestSampleChain:
         # a block of undecided rows more than once, and never holds two.
         chain = tight(actuator_chain)
         expected = scrap_rate(sample_chain(chain, IT6, 50_000, 7).fc_samples, chain.condition)
-        montecarlo._bracket()  # built first, so that its own transform is not counted
         part, parts = threading.local(), []
         count, transform = montecarlo._count_rows, montecarlo._to_normal
 
@@ -710,7 +718,7 @@ class TestNdtri:
     @pytest.mark.parametrize("edge", NDTRI_EDGES)
     def test_is_monotone_across_each_edge_up_to_its_error(self, edge):
         # Consecutive doubles: scipy's own ndtri falls out of order by a few ulps
-        # here, and so may the port, but by no more than _bracket allows for.
+        # here, and so may the port, but by no more than _BRACKET allows for.
         # Doubles 4096 apart keep strict order.
         y = consecutive(edge)
         draws = montecarlo._ndtri(y.copy())
