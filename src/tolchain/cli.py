@@ -72,9 +72,9 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "sigma_rule": ("--sigma-rule", {"choices": ("it6", "it3"),
                                     "help": "tolerance-to-sigma mapping (IT/6 or IT/3)"}),
     "workers": ("--workers", {"type": int,
-                              "help": "threads for the synthesis count (simulate draws in one), by default and at "
-                                      "most the usable cores; 1 counts in the calling thread, as inside a process "
-                                      "pool of your own (output is identical for any count)"}),
+                              "help": "threads for the synthesis count, by default and at most the usable cores: "
+                                      "the calling thread counts one part and a pool of at most WORKERS-1 threads "
+                                      "the rest (simulate draws in one; output is identical for any count)"}),
     "unknown": ("--unknown", {"required": True, "help": "name of the dimension to solve for"}),
     "coverage_sigmas": ("--coverage", {"type": float, "metavar": "COVERAGE",
                                        "help": "statistical-interval half-width in sigmas"}),

@@ -4,8 +4,9 @@ Each dimension is realized as an independent normal variate whose parameters
 derive from its tolerance zone; the functional-condition samples are the
 signed sum of the per-dimension realizations. Generation is counter-based:
 every sample's position (dimension index, sample index, seed) maps to a fixed
-point in a Philox stream, so identical inputs give bit-identical batches no
-matter how the work is chunked or parallelized.
+point in a Philox stream, so identical inputs give bit-identical batches, and
+the synthesis count, whose calling thread counts one part of the rows and a
+pool of at most N-1 threads the rest, gives the same counts for any N workers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
@@ -412,13 +413,13 @@ def sample_chain(
 @contextmanager
 def _chunk_jobs(n: int, workers: int) -> Iterator[Callable[[Callable], Any]]:
     """``run``, where ``run(job)`` is the sum of ``job(start, stop)`` over ``min(workers, usable cores, n)`` equal,
-    contiguous parts of [0, n), one per thread of a pool, or in the caller at one thread."""
+    contiguous parts of [0, n): the caller counts the first while a pool counts the rest, as ``Executor.map`` submits
+    them all before it returns and ``sum``'s arguments run left to right. One part hands the pool nothing."""
     check("workers", workers)
     threads = min(workers, usable_cores(), n)
     cuts = [n * k // threads for k in range(threads + 1)]
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        apply = map if pool is None else pool.map
-        yield lambda job: sum(apply(job, cuts, cuts[1:]))
+    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
+        yield lambda job: sum(pool.map(job, cuts[1:-1], cuts[2:]), job(cuts[0], cuts[1]))
 
 
 def _streams(chain: ToleranceChain, rule: SigmaRule) -> dict[str, tuple[int, float, DistributionParams]]:

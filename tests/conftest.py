@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tolchain import DimensionSpec, FunctionalCondition, ToleranceChain, montecarlo
+from tolchain import ToleranceChain, montecarlo, parse_chain
 
 ACTUATOR_DOC = {
     "name": "actuator-clamping",
@@ -20,20 +20,8 @@ ACTUATOR_DOC = {
 }
 
 
-def make_actuator_chain(bounds=(10.0, 11.16)) -> ToleranceChain:
-    condition = None
-    if bounds is not None:
-        condition = FunctionalCondition("Ja", bounds[0], bounds[1])
-    return ToleranceChain(
-        name="actuator-clamping",
-        dimensions=(
-            DimensionSpec("a1", 25.3, 0.5, 0.0, 1.0),
-            DimensionSpec("a2", 9.0, 0.1, -0.1, -1.0),
-            DimensionSpec("a3", 4.0, 0.2, -0.2, -1.0),
-            DimensionSpec("a7", 2.0, 0.0, -0.06, -1.0),
-        ),
-        condition=condition,
-    )
+def make_actuator_chain() -> ToleranceChain:
+    return parse_chain(json.dumps(ACTUATOR_DOC))
 
 
 def traced_peak(run):

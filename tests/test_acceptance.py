@@ -145,7 +145,7 @@ def test_criterion_6_statistical_below_arithmetic():
 
 
 def test_criterion_7_synthesis_convergence():
-    chain = make_actuator_chain(bounds=(10.0, 11.16))
+    chain = make_actuator_chain()
     cfg = SynthesisConfig(target_scrap=1e-3)
     report = synthesize(chain, IT6, cfg)
     rerun = synthesize(chain, IT6, cfg)

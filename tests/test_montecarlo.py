@@ -379,11 +379,12 @@ class TestSampleChain:
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(montecarlo, "usable_cores", lambda: cores)
         # 1000 workers are planned as the capped thread count: 1e5 samples are
-        # one contiguous part per thread, and the synthesis count maps them
-        # once. One thread runs its one part in the caller, with no pool.
+        # one contiguous part per thread. The caller counts the first, and the
+        # one map hands the pool the other threads - 1 parts; one thread hands
+        # it none.
         counted = scrap_counts(actuator_chain, IT6, 100_000, 7, 1000)
-        assert pools == ([threads] if threads > 1 else [])
-        assert mapped == ([threads] if threads > 1 else [])
+        assert pools == [max(threads - 1, 1)]
+        assert mapped == [threads - 1]
         assert counted == scrap_counts(actuator_chain, IT6, 100_000, 7, 1)
 
     def test_sampler_starts_no_pool(self, actuator_chain, monkeypatch):
@@ -411,12 +412,14 @@ class TestSampleChain:
     @pytest.mark.parametrize("n", [1, 5, 65_541, 100_003])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_chunk_jobs_cover_the_rows_in_order(self, monkeypatch, n, workers):
-        # One contiguous part per thread, the threads capped at the cores and at n.
+        # One contiguous part per thread, the threads capped at the cores and at
+        # n: the caller counts the part at row 0, and pool threads the others.
         monkeypatch.setattr(montecarlo, "usable_cores", lambda: 3)
-        spans = []
+        spans, caller = [], threading.get_ident()
 
         def job(start, stop):
             spans.append((start, stop))
+            assert (threading.get_ident() == caller) == (start == 0)
             return np.array([start, stop])
 
         with montecarlo._chunk_jobs(n, workers) as run:
@@ -439,7 +442,8 @@ class TestSampleChain:
 
     def test_chunk_map_holds_nothing_per_row(self, monkeypatch):
         # 2e8 rows at 2 threads are 2 parts, and run sums the jobs' counts: the
-        # pool is handed one job per thread, and nothing is held per row.
+        # caller counts the first, the pool is handed the second, and nothing is
+        # held per row.
         monkeypatch.setattr(montecarlo, "usable_cores", lambda: 2)
         handed = []
 
@@ -449,14 +453,21 @@ class TestSampleChain:
                 handed.extend(items)
                 return super().map(lambda item: fn(*item), items)
 
+        def job(start, stop):
+            if threading.get_ident() == caller:
+                counted.append((start, stop))
+            return np.zeros(4, np.int64)
+
         def enter_and_run():
             with montecarlo._chunk_jobs(2 * 10**8, 2) as run:
-                run(lambda start, stop: np.zeros(4, np.int64))
+                run(job)
 
+        caller, counted = threading.get_ident(), []
         assert traced_peak(enter_and_run) < 64 * 1024
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
         enter_and_run()
-        assert handed == [(0, 10**8), (10**8, 2 * 10**8)]
+        assert handed == [(10**8, 2 * 10**8)]
+        assert counted == [(0, 10**8)] * 2  # once in each run
 
     def test_workers_default_to_the_usable_cores(self):
         assert inspect.signature(sample_chain).parameters["workers"].default == model.usable_cores()

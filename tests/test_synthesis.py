@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -252,7 +253,7 @@ class TestSynthesizePolicy:
     def test_requires_two_sided_condition(self, actuator_chain):
         cfg = SynthesisConfig(target_scrap=0.01, n_per_iteration=100)
         with pytest.raises(ValueError, match="both bounds"):
-            synthesize(make_actuator_chain(bounds=None), IT6, cfg)
+            synthesize(replace(actuator_chain, condition=None), IT6, cfg)
         half = ToleranceChain(
             "half", actuator_chain.dimensions, FunctionalCondition("Ja", imposed_min=10.0)
         )
@@ -275,7 +276,7 @@ class TestSynthesizePolicy:
 
 
 class TestSynthesizeSampling:
-    """Each run draws the condition samples of sample_chain on at most one pool."""
+    """Each run counts the condition samples of sample_chain in the caller and on one pool."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -284,15 +285,20 @@ class TestSynthesizeSampling:
         class RecordingPool(ThreadPoolExecutor):
             def __init__(self, max_workers):
                 super().__init__(max_workers=max_workers)
-                self.shut = False
+                self.shut, self.handed = False, []
                 made.append(self)
+
+            def map(self, fn, *iterables):
+                items = list(zip(*iterables))
+                self.handed.extend(items)
+                return super().map(fn, *zip(*items))
 
             def shutdown(self, *args, **kwargs):
                 self.shut = True
                 super().shutdown(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(montecarlo, "usable_cores", lambda: 2)  # one thread would run in the caller
+        monkeypatch.setattr(montecarlo, "usable_cores", lambda: 2)  # one thread would hand the pool nothing
         return made
 
     @pytest.mark.parametrize("n", [1, 4097, 65_541, 100_003])
@@ -311,13 +317,31 @@ class TestSynthesizeSampling:
             batch = sample_chain(record.chain, IT6, cfg.n_per_iteration, (seed + record.index) % MAX_SEED)
             assert record.scrap == scrap_rate(batch.fc_samples, actuator_chain.condition)
 
-    def test_one_pool_per_run_and_none_at_one_worker(self, actuator_chain, pools):
+    def test_one_pool_per_run_handed_nothing_at_one_worker(self, actuator_chain, pools):
+        # At 2 workers each iteration hands the pool its second part of 10000 rows.
         cfg = SynthesisConfig(target_scrap=0.001, n_per_iteration=20_000, seed=2, max_iterations=5)
         assert len(synthesize(actuator_chain, IT6, cfg, workers=2).iterations) == 5
         assert len(pools) == 1
         assert pools[0].shut
+        assert pools[0].handed == [(10_000, 20_000)] * 5
         synthesize(actuator_chain, IT6, cfg, workers=1)
-        assert len(pools) == 1
+        assert len(pools) == 2
+        assert pools[1].shut
+        assert pools[1].handed == []
+
+    def test_jobs_run_on_the_caller_and_one_pool_thread_at_two_workers(self, actuator_chain, pools, monkeypatch):
+        threads, count = [], montecarlo._count_rows
+
+        def count_part(*args):
+            threads.append(threading.get_ident())
+            return count(*args)
+
+        monkeypatch.setattr(montecarlo, "_count_rows", count_part)
+        cfg = SynthesisConfig(target_scrap=0.001, n_per_iteration=20_000, seed=2, max_iterations=5)
+        assert len(synthesize(actuator_chain, IT6, cfg, workers=2).iterations) == 5
+        assert len(threads) == 10
+        assert len(set(threads)) == 2
+        assert threading.get_ident() in threads
 
     def test_pool_is_shut_down_when_an_iteration_raises(self, actuator_chain, pools, monkeypatch):
         calls = []

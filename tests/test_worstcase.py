@@ -22,6 +22,11 @@ from conftest import make_actuator_chain
 from oracles import one_double_wider
 
 
+def actuator_within(low, high):
+    """The actuator chain under the condition ``low <= Ja <= high``."""
+    return replace(make_actuator_chain(), condition=FunctionalCondition("Ja", low, high))
+
+
 class TestWorstCase:
     def test_actuator_extremes(self, actuator_chain):
         result = worst_case(actuator_chain)
@@ -87,8 +92,8 @@ class TestItBudget:
 
 
 class TestVerifyWorstCase:
-    def test_actuator_conforms_to_its_own_extremes(self):
-        verdict = verify_worst_case(make_actuator_chain((10.0, 11.16)))
+    def test_actuator_conforms_to_its_own_extremes(self, actuator_chain):
+        verdict = verify_worst_case(actuator_chain)
         assert verdict.status is ConformityStatus.CONFORMING
 
     def test_exact_boundary_conforms(self):
@@ -100,15 +105,15 @@ class TestVerifyWorstCase:
         assert verify_worst_case(chain).status is ConformityStatus.CONFORMING
 
     def test_non_conforming_high(self):
-        verdict = verify_worst_case(make_actuator_chain((10.0, 11.0)))
+        verdict = verify_worst_case(actuator_within(10.0, 11.0))
         assert verdict.status is ConformityStatus.NON_CONFORMING_HIGH
 
     def test_non_conforming_low(self):
-        verdict = verify_worst_case(make_actuator_chain((10.5, 11.5)))
+        verdict = verify_worst_case(actuator_within(10.5, 11.5))
         assert verdict.status is ConformityStatus.NON_CONFORMING_LOW
 
     def test_non_conforming_both(self):
-        verdict = verify_worst_case(make_actuator_chain((10.5, 11.0)))
+        verdict = verify_worst_case(actuator_within(10.5, 11.0))
         assert verdict.status is ConformityStatus.NON_CONFORMING_BOTH
 
     def test_single_bound_checked(self):
@@ -126,7 +131,7 @@ class TestVerifyWorstCase:
         assert verify_worst_case(chain).status is ConformityStatus.NON_CONFORMING_LOW
 
     def test_unchecked_when_no_bounds(self, actuator_chain):
-        assert verify_worst_case(make_actuator_chain(None)).status is ConformityStatus.UNCHECKED
+        assert verify_worst_case(replace(actuator_chain, condition=None)).status is ConformityStatus.UNCHECKED
         unbounded = replace(actuator_chain, condition=FunctionalCondition("Ja"))
         verdict = verify_worst_case(unbounded)
         assert verdict.status is ConformityStatus.UNCHECKED
