@@ -72,9 +72,8 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "sigma_rule": ("--sigma-rule", {"choices": ("it6", "it3"),
                                     "help": "tolerance-to-sigma mapping (IT/6 or IT/3)"}),
     "workers": ("--workers", {"type": int,
-                              "help": "threads for the synthesis count, by default and at most the usable cores: "
-                                      "the calling thread counts one part and a pool of at most WORKERS-1 threads "
-                                      "the rest (simulate draws in one; output is identical for any count)"}),
+                              "help": "threads for the synthesis count, by default and at most the usable cores; "
+                                      "1 starts none (simulate draws in one; output is identical for any count)"}),
     "unknown": ("--unknown", {"required": True, "help": "name of the dimension to solve for"}),
     "coverage_sigmas": ("--coverage", {"type": float, "metavar": "COVERAGE",
                                        "help": "statistical-interval half-width in sigmas"}),
@@ -149,7 +148,7 @@ def _write_all(outputs: list[tuple[Path, Iterable[str]]]) -> None:
     every write succeeded. Any failure, also one while a chunk is rendered,
     removes the temporary files and the outputs this call already moved.
     """
-    staged: list[tuple[Path, Path]] = []
+    staged: list[tuple[Path, Path, Path]] = []
     moved: list[Path] = []
     try:
         for path, chunks in outputs:
@@ -162,16 +161,18 @@ def _write_all(outputs: list[tuple[Path, Iterable[str]]]) -> None:
             target = Path(os.path.realpath(path))  # write through a symlink, not over it
             tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
             with open(tmp, "x", encoding="utf-8") as f:
-                staged.append((tmp, target))
+                staged.append((tmp, target, path))
                 f.writelines(chunks)
-        for tmp, target in staged:
+        for tmp, target, path in staged:
             os.replace(tmp, target)
             moved.append(target)
-    except BaseException:
-        for tmp, _ in staged:
+    except BaseException as exc:
+        for tmp, *_ in staged:
             tmp.unlink(missing_ok=True)
         for target in moved:
             target.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:  # the output as given, not its temporary file
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -235,36 +236,28 @@ def run(cfg: RunConfig) -> int:
         solved = solve_unknown(chain, cfg.unknown)
         report["result"] = {"dimension": asdict(solved), "it": solved.it}
 
-    elif cfg.command == "simulate":
-        # Imported here so that the worst-case commands never load numpy; names
-        # are looked up on the module at each call.
+    else:
+        # Imported here so that the worst-case commands never load numpy, nor
+        # simulate the synthesis module; names are looked up on the module at each call.
         from . import montecarlo
 
         rule = montecarlo.SigmaRule(cfg.sigma_rule)
-        batch = montecarlo.sample_chain(chain, rule, cfg.samples, cfg.seed, workers=cfg.workers)
-        report["result"] = montecarlo.batch_summary(chain, batch, rule, cfg.coverage_sigmas)
-        if cfg.output is not None:
-            exports = [
-                (_sibling(cfg.output, ".samples.csv"), montecarlo._samples_csv_blocks(batch)),
-                (_sibling(cfg.output, ".hist.csv"), [montecarlo.histogram_csv(batch.fc_samples, cfg.bins)]),
-            ]
+        if cfg.command == "simulate":
+            batch = montecarlo.sample_chain(chain, rule, cfg.samples, cfg.seed, workers=cfg.workers)
+            report["result"] = montecarlo.batch_summary(chain, batch, rule, cfg.coverage_sigmas)
+            if cfg.output is not None:
+                exports = [
+                    (_sibling(cfg.output, ".samples.csv"), montecarlo._samples_csv_blocks(batch)),
+                    (_sibling(cfg.output, ".hist.csv"), [montecarlo.histogram_csv(batch.fc_samples, cfg.bins)]),
+                ]
+        else:  # synthesize
+            from . import synthesis
 
-    else:  # synthesize
-        from . import montecarlo, synthesis
-
-        rule = montecarlo.SigmaRule(cfg.sigma_rule)
-        synthesis_cfg = synthesis.SynthesisConfig(
-            target_scrap=cfg.target_scrap,
-            n_per_iteration=cfg.samples,
-            seed=cfg.seed,
-        )
-        report["config"].update(
-            max_iterations=synthesis_cfg.max_iterations,
-            adjustment_factor=synthesis_cfg.adjustment_factor,
-            tolerance_band=synthesis_cfg.tolerance_band,
-        )
-        result = synthesis.synthesize(chain, rule, synthesis_cfg, workers=cfg.workers)
-        report["result"] = synthesis.synthesis_report_document(result)
+            loop_cfg = synthesis.SynthesisConfig(cfg.target_scrap, n_per_iteration=cfg.samples, seed=cfg.seed)
+            # The loop's parameters that have a rule and no flag, at their defaults.
+            report["config"].update((k, v) for k, v in asdict(loop_cfg).items() if k in DEFAULTS and k not in _FLAGS)
+            result = synthesis.synthesize(chain, rule, loop_cfg, workers=cfg.workers)
+            report["result"] = synthesis.synthesis_report_document(result)
 
     text = _render(report, cfg.format)
     if cfg.output is None:

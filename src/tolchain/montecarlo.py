@@ -5,8 +5,7 @@ derive from its tolerance zone; the functional-condition samples are the
 signed sum of the per-dimension realizations. Generation is counter-based:
 every sample's position (dimension index, sample index, seed) maps to a fixed
 point in a Philox stream, so identical inputs give bit-identical batches, and
-the synthesis count, whose calling thread counts one part of the rows and a
-pool of at most N-1 threads the rest, gives the same counts for any N workers.
+the synthesis count, on at most N threads, gives the same counts for any N.
 """
 
 from __future__ import annotations

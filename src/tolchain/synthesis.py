@@ -136,12 +136,11 @@ def synthesize(
 
     Each iteration counts the scrap of ``cfg.n_per_iteration`` samples, exactly as ``scrap_rate`` counts
     ``sample_chain``'s at seed ``cfg.seed + iteration`` but without holding them (memory is per block of rows, not
-    per sample): the calling thread counts one part of the rows, and one pool per run, of at most ``workers - 1``
-    threads, counts the rest, so the report is identical for any ``workers``. An estimate inside the target band
-    stops the loop (action ``accept``); above it shrinks the widest non-frozen tolerance; below it widens the
-    narrowest non-frozen, nonzero one. Ties fall to chain order. When no adjustable tolerance can move in the
-    required direction the loop stops unconverged (``stall``); running out of iterations likewise ends
-    unconverged, with the full trace.
+    per sample), on at most ``workers`` threads, capped at the usable cores; ``workers=1`` starts no thread, and the
+    report is identical for any ``workers``. An estimate inside the target band stops the loop (action ``accept``);
+    above it shrinks the widest non-frozen tolerance; below it widens the narrowest non-frozen, nonzero one. Ties
+    fall to chain order. When no adjustable tolerance can move in the required direction the loop stops unconverged
+    (``stall``); running out of iterations likewise ends unconverged, with the full trace.
 
     A zero scrap estimate is trusted only when the sample size can resolve
     the target (target > 3/n, the rule-of-three bound); otherwise the exact

@@ -339,6 +339,17 @@ class TestSimulate:
         assert targets == ["r.samples.csv", "r.hist.csv", "r.json"]
         assert set(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize(
+        "argv, named", [(["analyze"], "r.json"), (["simulate", "--samples", "100"], "r.samples.csv")],
+        ids=["analyze", "simulate"],
+    )
+    def test_unwritable_output_is_named_as_given(self, chain_file, tmp_path, capsys, argv, named):
+        # Named by the first output that cannot be opened, never by its temporary file, whose name differs per run.
+        output = tmp_path / "missing" / "r.json"
+        runs = [run_cli([*argv, "--chain", str(chain_file), "--output", str(output)], capsys) for _ in range(2)]
+        expected = f"tolchain: [Errno 2] No such file or directory: '{output.parent / named}'\n"
+        assert runs == [(2, "", expected)] * 2
+
     def test_failed_block_leaves_no_output(self, chain_file, tmp_path, capsys, monkeypatch):
         real = montecarlo.samples_csv
         starts = []

@@ -110,6 +110,11 @@ CASES = {
         ["synthesize", *CHAIN, "--samples", "100003", "--workers", "2", "--target-scrap", "0.05"],
         {"-": "231b78f8c9cf9ed69dda59eac3e56ef70f7e56b77dd4489750b561869b5ffc2e"},
     ),
+    # Three unequal parts, 6666, 6667 and 6667 rows, where at least 3 cores are usable.
+    "synthesize-w3": (
+        ["synthesize", *CHAIN, "--samples", "20000", "--target-scrap", "0.05", "--workers", "3"],
+        {"-": "167f09c3eb4d546d3e4120ca595ce8090a231894d61ff67d091b9e94d25da0a5"},
+    ),
 }
 
 

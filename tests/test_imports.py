@@ -1,4 +1,5 @@
-"""Import graph: the worst-case path stays free of the sampling stack and of OpenSSL, and nothing loads scipy."""
+"""Import graph: the worst-case path stays free of the sampling stack and of OpenSSL, simulate of the synthesis loop,
+and nothing loads scipy."""
 
 import hashlib
 import json
@@ -12,16 +13,17 @@ import pytest
 import tolchain
 from tolchain import model, montecarlo, synthesis, worstcase
 
-# Runs one CLI call in a fresh interpreter and prints which of numpy, scipy
-# and OpenSSL's hashlib backend the call loaded. Modules loaded before the
-# call, say by a site hook, do not count.
+# Runs one CLI call in a fresh interpreter and prints which of numpy, scipy,
+# OpenSSL's hashlib backend and the synthesis module the call loaded. Modules
+# loaded before the call, say by a site hook, do not count.
 _PROBE = """
 import sys; before = set(sys.modules)
 import json
 from tolchain.cli import main
 code = main(sys.argv[1:])
 added = set(sys.modules) - before
-print(json.dumps({"code": code, "loaded": [m for m in ("numpy", "scipy", "_hashlib") if m in added]}))
+watched = ("numpy", "scipy", "_hashlib", "tolchain.synthesis")
+print(json.dumps({"code": code, "loaded": [m for m in watched if m in added]}))
 """
 
 
@@ -44,7 +46,7 @@ def _run(script, argv=()):
         # numpy.random loads OpenSSL through secrets and hmac; the sampler's own
         # inverse normal CDF needs no scipy.
         (["simulate", "--samples", "100"], ["numpy", "_hashlib"]),
-        (["synthesize", "--samples", "1000", "--target-scrap", "0.05"], ["numpy", "_hashlib"]),
+        (["synthesize", "--samples", "1000", "--target-scrap", "0.05"], ["numpy", "_hashlib", "tolchain.synthesis"]),
     ],
     ids=["analyze", "verify", "solve", "simulate", "synthesize"],
 )
