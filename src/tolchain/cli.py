@@ -237,8 +237,9 @@ def run(cfg: RunConfig) -> int:
         report["result"] = {"dimension": asdict(solved), "it": solved.it}
 
     else:
-        # Imported here so that the worst-case commands never load numpy, nor
-        # simulate the synthesis module; names are looked up on the module at each call.
+        # Imported here so that the worst-case commands never load numpy, nor simulate
+        # the synthesis module or the thread pool, which only the synthesis count
+        # imports; names are looked up on the module at each call.
         from . import montecarlo
 
         rule = montecarlo.SigmaRule(cfg.sigma_rule)

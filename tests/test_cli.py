@@ -368,12 +368,28 @@ class TestSimulate:
         )
         assert code == 2
         assert "No space left on device" in err
-        assert starts == [0, 4096]
+        assert starts == [0, montecarlo._EXPORT_ROWS]
         assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("dimension", ["index", "Ja", "fc"])
+    def test_repeated_samples_column_leaves_no_output(self, tmp_path, capsys, dimension):
+        # Ja is the condition's name, and fc the condition's column in a chain without one.
+        doc = copy.deepcopy(ACTUATOR_DOC)
+        doc["dimensions"][0]["name"] = dimension
+        if dimension == "fc":
+            del doc["condition"]
+        argv = ["simulate", "--chain", str(write_chain(tmp_path, doc)), "--samples", "100"]
+        before = set(tmp_path.iterdir())
+        code, out, err = run_cli([*argv, "--output", str(tmp_path / "r.json")], capsys)
+        message = f"the samples CSV would repeat the column {dimension!r}; rename the dimension or condition"
+        assert (code, out, err) == (2, "", f"tolchain: {message}\n")
+        assert set(tmp_path.iterdir()) == before
+        code, out, _ = run_cli(argv, capsys)  # the report alone names no column twice
+        assert code == 0 and dimension in json.loads(out)["result"]["per_dimension"]
 
     def test_export_is_written_block_by_block(self, chain_file, tmp_path):
         # The sampler holds fc and one buffer, and batch_summary a copy of fc:
-        # about 2.5 arrays of n doubles. The export adds one 4096-row block at
+        # about 2.5 arrays of n doubles. The export adds one block of rows at
         # a time; holding its whole text would take about 16 arrays of n.
         n = 200_000
         argv = ["simulate", "--chain", str(chain_file), "--samples", str(n), "--output", str(tmp_path / "r.json")]

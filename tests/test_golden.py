@@ -76,7 +76,7 @@ CASES = {
             "r.hist.csv": "622f5eac5c3dbe4b8b7a17399c46c182ac49d3fbfcfe8249c22b7fb7c1caf28e",
         },
     ),
-    # The samples export ends exactly on a 4096-row block boundary.
+    # The samples export ends exactly on a block boundary.
     "simulate-output-block-end": (
         ["simulate", *CHAIN, "--samples", "8192", "--seed", "7", "--workers", "1", "--output", "r.json"],
         {

@@ -14,15 +14,15 @@ import tolchain
 from tolchain import model, montecarlo, synthesis, worstcase
 
 # Runs one CLI call in a fresh interpreter and prints which of numpy, scipy,
-# OpenSSL's hashlib backend and the synthesis module the call loaded. Modules
-# loaded before the call, say by a site hook, do not count.
+# OpenSSL's hashlib backend, the synthesis module and the thread pool the call
+# loaded. Modules loaded before the call, say by a site hook, do not count.
 _PROBE = """
 import sys; before = set(sys.modules)
 import json
 from tolchain.cli import main
 code = main(sys.argv[1:])
 added = set(sys.modules) - before
-watched = ("numpy", "scipy", "_hashlib", "tolchain.synthesis")
+watched = ("numpy", "scipy", "_hashlib", "tolchain.synthesis", "concurrent.futures")
 print(json.dumps({"code": code, "loaded": [m for m in watched if m in added]}))
 """
 
@@ -46,7 +46,10 @@ def _run(script, argv=()):
         # numpy.random loads OpenSSL through secrets and hmac; the sampler's own
         # inverse normal CDF needs no scipy.
         (["simulate", "--samples", "100"], ["numpy", "_hashlib"]),
-        (["synthesize", "--samples", "1000", "--target-scrap", "0.05"], ["numpy", "_hashlib", "tolchain.synthesis"]),
+        (
+            ["synthesize", "--samples", "1000", "--target-scrap", "0.05"],
+            ["numpy", "_hashlib", "tolchain.synthesis", "concurrent.futures"],
+        ),
     ],
     ids=["analyze", "verify", "solve", "simulate", "synthesize"],
 )

@@ -1,5 +1,6 @@
 """Monte Carlo engine: distributions, sampling, statistics, scrap, exports."""
 
+import concurrent.futures
 import inspect
 import math
 import os
@@ -376,7 +377,7 @@ class TestSampleChain:
             def __exit__(self, *exc):
                 return None
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(montecarlo, "usable_cores", lambda: cores)
         # 1000 workers are planned as the capped thread count: 1e5 samples are
         # one contiguous part per thread. The caller counts the first, and the
@@ -391,7 +392,7 @@ class TestSampleChain:
         def no_pool(*args, **kwargs):
             raise AssertionError("sample_chain started a thread pool")
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(montecarlo, "usable_cores", lambda: 2)
         batch, alone = (sample_chain(actuator_chain, IT6, 100_000, 7, workers=workers) for workers in (2, 1))
         assert batch.fc_samples.tobytes() == alone.fc_samples.tobytes()
@@ -464,7 +465,7 @@ class TestSampleChain:
 
         caller, counted = threading.get_ident(), []
         assert traced_peak(enter_and_run) < 64 * 1024
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         enter_and_run()
         assert handed == [(10**8, 2 * 10**8)]
         assert counted == [(0, 10**8)] * 2  # once in each run
@@ -1022,7 +1023,25 @@ class TestExports:
         batch = sample_chain(actuator_chain, IT6, 50_000, 5)
         shapes = counted_transforms(monkeypatch)
         samples_csv(batch)
-        assert shapes == [(4, 4096)] * 12 + [(4, 848)]
+        full, rest = divmod(50_000, montecarlo._EXPORT_ROWS)
+        assert shapes == [(4, montecarlo._EXPORT_ROWS)] * full + [(4, rest)]
+
+    @pytest.mark.parametrize(
+        "names, condition, repeated",
+        [(["index", "b"], "Ja", "index"), (["a", "Ja"], "Ja", "Ja"), (["fc", "b"], None, "fc"),
+         (["a", "b"], "index", "index")],
+        ids=["dimension-index", "dimension-as-condition", "dimension-fc-no-condition", "condition-index"],
+    )
+    def test_samples_csv_rejects_a_repeated_column(self, monkeypatch, names, condition, repeated):
+        dimensions = [DimensionSpec(name, 10.0, 0.1, -0.1, 1.0) for name in names]
+        bounded = None if condition is None else FunctionalCondition(condition, 19.0, 21.0)
+        batch = sample_chain(ToleranceChain("c", dimensions, bounded), IT6, 5000, 1)
+        shapes = counted_transforms(monkeypatch)
+        message = f"the samples CSV would repeat the column {repeated!r}; rename the dimension or condition"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            samples_csv(batch)
+        assert shapes == []  # raised before a row was drawn
+        assert samples_csv(batch, 1, 3).count("\n") == 2  # a range after the header writes its rows
 
     def test_samples_csv_ends_with_newline(self, actuator_chain):
         batch = sample_chain(actuator_chain, IT6, 2, 1)
@@ -1067,6 +1086,33 @@ class TestExports:
             with pytest.raises(ValueError) as excinfo:
                 histogram_csv(samples, 2)
         assert str(excinfo.value) == f"the samples hold a NaN or an inf, or their range overflows: {bounds}"
+
+    @pytest.mark.parametrize("n", [50_000, 2_000_000])
+    def test_histogram_holds_one_block_of_rows(self, n):
+        # Counted in blocks; one np.histogram call over every row traces 1.66 MB at 5e4 rows and 2.24 MB at 2e6.
+        samples = np.random.default_rng(3).normal(size=n)
+        histogram_csv(samples, 50)  # imports and caches
+        assert traced_peak(lambda: histogram_csv(samples, 50)) < 128 * 1024
+
+    @pytest.mark.parametrize(
+        "samples, bins",
+        [(np.array([1.5]), 50), (np.full(5000, 3.0), 7),
+         (np.random.default_rng(4).normal(size=montecarlo._EXPORT_ROWS + 1), 50),
+         (np.random.default_rng(5).normal(size=3 * montecarlo._EXPORT_ROWS + 5), montecarlo._EXPORT_ROWS + 3),
+         (np.tile(np.arange(41) * 0.25, 200), 40), (np.random.default_rng(6).normal(size=10_000) * 1e300, 50)],
+        ids=["one", "constant", "step-plus-one", "bins-above-step", "on-edges", "wide-range"],
+    )
+    def test_histogram_equals_one_numpy_call(self, samples, bins):
+        counts, edges = np.histogram(samples, bins)
+        rows = np.column_stack([edges[:-1], edges[1:], counts]).ravel().tolist()
+        assert histogram_csv(samples, bins) == "bin_lower,bin_upper,count\n" + "%.9g,%.9g,%d\n" * bins % tuple(rows)
+
+    def test_histogram_too_many_bins_as_numpy(self):
+        samples = np.array([1.0, np.nextafter(1.0, 2.0)] * montecarlo._EXPORT_ROWS)
+        with pytest.raises(ValueError) as expected:
+            np.histogram(samples, 50)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            histogram_csv(samples, 50)
 
     def test_batch_summary_contents(self, actuator_chain):
         batch = sample_chain(actuator_chain, IT6, 5000, 11)

@@ -1,5 +1,6 @@
 """Synthesis loop: re-specification, the adjustment policy, and its report."""
 
+import concurrent.futures
 import json
 import math
 import re
@@ -297,7 +298,7 @@ class TestSynthesizeSampling:
                 self.shut = True
                 super().shutdown(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo, "usable_cores", lambda: 2)  # one thread would hand the pool nothing
         return made
 
