@@ -204,6 +204,16 @@ def run(cfg: RunConfig) -> int:
 
     raw = cfg.chain.read_bytes()
     chain = parse_chain(raw)
+    # The outputs in the order _write_all writes them. A missing directory is refused before the work, named as
+    # _write_all names it; every other write failure waits for _write_all.
+    outputs = [] if cfg.output is None else [
+        *(_sibling(cfg.output, suffix) for suffix in (".samples.csv", ".hist.csv") if cfg.command == "simulate"),
+        cfg.output]
+    for path in outputs:
+        try:
+            os.stat(path.parent)
+        except FileNotFoundError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
 
     report: dict[str, Any] = {
         "tool": "tolchain",
@@ -244,13 +254,13 @@ def run(cfg: RunConfig) -> int:
 
         rule = montecarlo.SigmaRule(cfg.sigma_rule)
         if cfg.command == "simulate":
+            if cfg.output is not None:  # a samples CSV that would repeat a column is refused before the draw
+                montecarlo._samples_header((d.name for d in chain.dimensions), chain.fc_name)
             batch = montecarlo.sample_chain(chain, rule, cfg.samples, cfg.seed, workers=cfg.workers)
             report["result"] = montecarlo.batch_summary(chain, batch, rule, cfg.coverage_sigmas)
             if cfg.output is not None:
-                exports = [
-                    (_sibling(cfg.output, ".samples.csv"), montecarlo._samples_csv_blocks(batch)),
-                    (_sibling(cfg.output, ".hist.csv"), [montecarlo.histogram_csv(batch.fc_samples, cfg.bins)]),
-                ]
+                exports = [(outputs[0], montecarlo._samples_csv_blocks(batch)),
+                           (outputs[1], [montecarlo.histogram_csv(batch.fc_samples, cfg.bins)])]
         else:  # synthesize
             from . import synthesis
 

@@ -226,6 +226,11 @@ class ToleranceChain:
         if self.condition is not None and not isinstance(self.condition, FunctionalCondition):
             raise ChainValidationError(f"chain {self.name!r}: condition must be a FunctionalCondition")
 
+    @property
+    def fc_name(self) -> str:
+        """The name of the condition's samples: the condition's own, or ``"fc"`` for a chain without one."""
+        return self.condition.name if self.condition is not None else "fc"
+
     def index_of(self, name: str) -> int:
         """Position of the named dimension, raising ``ValueError`` when absent."""
         for i, d in enumerate(self.dimensions):

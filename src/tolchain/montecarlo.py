@@ -14,9 +14,9 @@ import csv
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass, field
 from functools import partial
-from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -144,8 +144,7 @@ def propagate_analytic(chain: ToleranceChain, rule: SigmaRule) -> DistributionPa
     try:
         return DistributionParams(mean=mean, sigma=math.sqrt(variance))
     except ValueError as exc:  # a sum or a square that overflows, though each dimension's moments are finite
-        name = chain.condition.name if chain.condition is not None else "fc"
-        raise ValueError(f"condition {name!r}: {exc}") from None
+        raise ValueError(f"condition {chain.fc_name!r}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,10 +402,8 @@ def sample_chain(
             fc[first:first + block.size] += coefficient * block
         moments[name] = _moments_in_place(buf, f" of dimension {name!r}")
     fc.setflags(write=False)
-
-    fc_name = chain.condition.name if chain.condition is not None else "fc"
     return SampleBatch(chain_name=chain.name, n=n, seed=seed, per_dimension=_Columns(seed, n, streams),
-                       moments=moments, fc_samples=fc, fc_name=fc_name)
+                       moments=moments, fc_samples=fc, fc_name=chain.fc_name)
 
 
 @contextmanager
@@ -470,25 +467,32 @@ def _interval(mean: float, stdev: float, coverage_sigmas: float) -> IntervalResu
 
 @dataclass(frozen=True)
 class ScrapReport:
-    """Counts and rate of realizations falling outside the imposed bounds."""
+    """Counts of ``n`` realizations outside the imposed bounds (a NaN one, counted in ``nans``, is an error), and the
+    rate and the Wald half-width 1.96 * sqrt(p(1-p)/n) they give. That interval has zero width at zero events and is
+    unreliable while n*p is small (ROADMAP item 2)."""
 
     n: int
     below: int
     above: int
-    scrap_rate: float
-    ci95_half_width: float
+    nans: InitVar[int] = 0
+    scrap_rate: float = field(init=False)
+    ci95_half_width: float = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, nans: int) -> None:
+        if nans:
+            raise ValueError(f"{nans} of {self.n} samples are NaN, neither inside nor outside")
         if self.n < 1 or self.below < 0 or self.above < 0 or self.below + self.above > self.n:
             raise ValueError("inconsistent scrap counts")
+        rate = (self.below + self.above) / self.n
+        object.__setattr__(self, "scrap_rate", rate)
+        object.__setattr__(self, "ci95_half_width", 1.96 * math.sqrt(rate * (1.0 - rate) / self.n))
 
 
 def scrap_rate(samples: Sequence[float] | np.ndarray, condition: FunctionalCondition) -> ScrapReport:
     """Fraction of samples strictly outside the condition's bounds.
 
     A missing bound contributes nothing; +/-inf counts as below or above, and
-    NaN is an error. The Wald half-width 1.96 * sqrt(p(1-p)/n) has zero width
-    at zero events and is unreliable while n*p is small (ROADMAP item 2).
+    NaN is an error.
     """
     if condition is None or not condition.is_bounded:
         raise ValueError("scrap_rate requires a condition with at least one bound")
@@ -497,17 +501,7 @@ def scrap_rate(samples: Sequence[float] | np.ndarray, condition: FunctionalCondi
         raise ValueError("scrap_rate requires a non-empty sample set")
     low, high = condition.bounds
     nans = int(np.count_nonzero(np.isnan(arr))) if math.isnan(arr.min()) else 0  # min propagates NaN
-    return _scrap_report(arr.size, int(np.count_nonzero(arr < low)), int(np.count_nonzero(arr > high)), nans)
-
-
-def _scrap_report(n: int, below: int, above: int, nans: int) -> ScrapReport:
-    """The report of ``n`` samples, ``below`` and ``above`` of them outside, with the Wald half-width; any NaN
-    sample is an error."""
-    if nans:
-        raise ValueError(f"{nans} of {n} samples are NaN, neither inside nor outside")
-    rate = (below + above) / n
-    half_width = 1.96 * math.sqrt(rate * (1.0 - rate) / n)
-    return ScrapReport(n=n, below=below, above=above, scrap_rate=rate, ci95_half_width=half_width)
+    return ScrapReport(arr.size, int(np.count_nonzero(arr < low)), int(np.count_nonzero(arr > high)), nans)
 
 
 # Rows per block of the scrap count. Each thread holds a block's uniforms of
@@ -533,7 +527,7 @@ def _scrap_counts(chain: ToleranceChain, rule: SigmaRule, seed: int, run: Callab
         tables *= sigma
         tables += mean
         tables *= coefficient
-    return _scrap_report(*run(partial(_count_rows, seed, tables, columns, chain.condition.bounds)).tolist())
+    return ScrapReport(*run(partial(_count_rows, seed, tables, columns, chain.condition.bounds)).tolist())
 
 
 def _count_rows(seed: int, tables: np.ndarray, columns: np.ndarray, bounds: tuple[float, float], start: int,
@@ -621,15 +615,7 @@ def samples_csv(batch: SampleBatch, start: int = 0, stop: int | None = None) -> 
     for name, value in (("start", start), ("stop", stop)):
         as_real(value, name, lambda v: v >= 0, "must be non-negative, got {!r}", integral=True)
     stop = min(stop, batch.n)
-    header = io.StringIO()
-    if start == 0:
-        names = ["index", *batch.per_dimension.keys(), batch.fc_name]
-        # The dimension names differ, so only the index's or the condition's name can repeat.
-        for name in ("index", batch.fc_name):
-            if names.count(name) > 1:
-                raise ValueError(f"the samples CSV would repeat the column {name!r}; rename the dimension or condition")
-        csv.writer(header, lineterminator="\n").writerow(names)
-    parts = [header.getvalue()]
+    parts = [_samples_header(batch.per_dimension, batch.fc_name) if start == 0 else ""]
     row = "%d" + ",%.9g" * (len(batch.per_dimension) + 1) + "\n"
     # The index rides in the float block; %d prints it exactly below 2**53.
     for lo in range(start, stop, _EXPORT_ROWS):
@@ -637,6 +623,18 @@ def samples_csv(batch: SampleBatch, start: int = 0, stop: int | None = None) -> 
         block = np.column_stack([np.arange(lo, hi), *batch.per_dimension.rows(lo, hi - lo), batch.fc_samples[lo:hi]])
         parts.append(row * (hi - lo) % tuple(block.ravel().tolist()))
     return "".join(parts)
+
+
+def _samples_header(dimensions: Iterable[str], fc_name: str) -> str:
+    """The samples CSV's header line, or the ``ValueError`` of ``samples_csv`` if it would repeat a column name."""
+    names = ["index", *dimensions, fc_name]
+    # The dimension names differ, so only the index's or the condition's name can repeat.
+    for name in ("index", fc_name):
+        if names.count(name) > 1:
+            raise ValueError(f"the samples CSV would repeat the column {name!r}; rename the dimension or condition")
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(names)
+    return header.getvalue()
 
 
 def _samples_csv_blocks(batch: SampleBatch) -> Iterator[str]:

@@ -22,7 +22,7 @@ import pytest
 from conftest import ACTUATOR_DOC, make_actuator_chain, traced_peak
 import tolchain
 from tolchain import SigmaRule, SynthesisConfig, histogram_csv, montecarlo, parse_chain, sample_chain
-from tolchain import batch_summary, statistical_interval, synthesize
+from tolchain import batch_summary, statistical_interval, synthesis, synthesize
 from tolchain.cli import RunConfig, main, run
 from tolchain.model import MAX_COUNT
 
@@ -386,6 +386,43 @@ class TestSimulate:
         assert set(tmp_path.iterdir()) == before
         code, out, _ = run_cli(argv, capsys)  # the report alone names no column twice
         assert code == 0 and dimension in json.loads(out)["result"]["per_dimension"]
+
+    @pytest.fixture()
+    def no_work(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("the work ran")
+
+        monkeypatch.setattr(montecarlo, "sample_chain", work)
+        monkeypatch.setattr(synthesis, "synthesize", work)
+
+    @pytest.mark.parametrize("dimension", ["index", "Ja", "fc"])
+    def test_repeated_samples_column_is_refused_before_the_draw(self, tmp_path, capsys, no_work, dimension):
+        doc = copy.deepcopy(ACTUATOR_DOC)
+        doc["dimensions"][0]["name"] = dimension
+        if dimension == "fc":
+            del doc["condition"]
+        argv = ["simulate", "--chain", str(write_chain(tmp_path, doc)), "--output", str(tmp_path / "r.json")]
+        message = f"the samples CSV would repeat the column {dimension!r}; rename the dimension or condition"
+        assert run_cli(argv, capsys) == (2, "", f"tolchain: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, named", [(["simulate"], "r.samples.csv"), (["synthesize", "--target-scrap", "1e-3"], "r.json")],
+        ids=["simulate", "synthesize"],
+    )
+    def test_missing_output_directory_is_refused_before_the_work(self, chain_file, tmp_path, capsys, no_work, argv,
+                                                                 named):
+        output = tmp_path / "missing" / "r.json"
+        expected = f"tolchain: [Errno 2] No such file or directory: '{output.parent / named}'\n"
+        assert run_cli([*argv, "--chain", str(chain_file), "--output", str(output)], capsys) == (2, "", expected)
+
+    def test_file_in_place_of_the_output_directory_fails_at_the_write(self, chain_file, tmp_path, capsys):
+        # Only a missing directory is refused early; any other write failure is found when the outputs are written.
+        (tmp_path / "file").write_text("")
+        output = tmp_path / "file" / "r.json"
+        code, out, err = run_cli(["simulate", "--chain", str(chain_file), "--samples", "100", "--output", str(output)],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == f"tolchain: [Errno 20] Not a directory: '{output.parent / 'r.samples.csv'}'\n"
 
     def test_export_is_written_block_by_block(self, chain_file, tmp_path):
         # The sampler holds fc and one buffer, and batch_summary a copy of fc:

@@ -847,7 +847,29 @@ class TestScrapRate:
     )
     def test_inconsistent_counts_rejected(self, n, below, above):
         with pytest.raises(ValueError, match="^inconsistent scrap counts$"):
-            montecarlo.ScrapReport(n=n, below=below, above=above, scrap_rate=0.0, ci95_half_width=0.0)
+            montecarlo.ScrapReport(n=n, below=below, above=above)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_report_is_its_counts(self, n):
+        # Every split of n samples below, inside and above the bounds, from no event to all of them.
+        condition = FunctionalCondition("J", 0.0, 1.0)
+        for below in range(n + 1):
+            for above in range(n + 1 - below):
+                report = montecarlo.ScrapReport(n, below, above)
+                assert report == scrap_rate([-1.0] * below + [2.0] * above + [0.5] * (n - below - above), condition)
+                assert list(asdict(report)) == ["n", "below", "above", "scrap_rate", "ci95_half_width"]
+
+    def test_report_rejects_nan_samples(self):
+        with pytest.raises(ValueError, match="^1 of 5 samples are NaN, neither inside nor outside$"):
+            montecarlo.ScrapReport(5, 0, 0, nans=1)
+
+    @pytest.mark.parametrize(
+        "derived", [{"scrap_rate": 0.5}, {"ci95_half_width": 0.0}, {"scrap_rate": 0.5, "ci95_half_width": 0.0}],
+        ids=["rate", "half-width", "both"],
+    )
+    def test_report_takes_no_derived_value(self, derived):
+        with pytest.raises(TypeError):
+            montecarlo.ScrapReport(n=10, below=0, above=0, **derived)
 
     def test_boundary_values_conform(self):
         report = scrap_rate([2.0, 3.0], FunctionalCondition("J", 2.0, 3.0))
