@@ -35,7 +35,8 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .model import DEFAULTS, ChainSyntaxError, ChainValidationError, ConformityStatus, check, parse_chain
+from .model import (DEFAULTS, ChainSyntaxError, ChainValidationError, ConformityStatus, _samples_header, check,
+                    parse_chain)
 from .worstcase import InfeasibleToleranceError, it_budget, solve_unknown, verify_worst_case, worst_case
 
 __all__ = ["RunConfig", "build_parser", "main", "run"]
@@ -158,7 +159,7 @@ def _write_all(outputs: list[tuple[Path, Iterable[str]]]) -> None:
                 with open(path, "w", encoding="utf-8") as f:
                     f.writelines(chunks)
                 continue
-            target = Path(os.path.realpath(path))  # write through a symlink, not over it
+            target = _target(path)
             tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
             with open(tmp, "x", encoding="utf-8") as f:
                 staged.append((tmp, target, path))
@@ -176,8 +177,9 @@ def _write_all(outputs: list[tuple[Path, Iterable[str]]]) -> None:
         raise
 
 
-def _sibling(path: Path, suffix: str) -> Path:
-    return path.parent / f"{path.stem}{suffix}"
+def _target(path: Path) -> Path:
+    """The file that ``_write_all`` stages beside and replaces for ``path``: through a symlink, not over it."""
+    return Path(os.path.realpath(path))
 
 
 def run(cfg: RunConfig) -> int:
@@ -204,14 +206,15 @@ def run(cfg: RunConfig) -> int:
 
     raw = cfg.chain.read_bytes()
     chain = parse_chain(raw)
-    # The outputs in the order _write_all writes them. A missing directory is refused before the work, named as
-    # _write_all names it; every other write failure waits for _write_all.
-    outputs = [] if cfg.output is None else [
-        *(_sibling(cfg.output, suffix) for suffix in (".samples.csv", ".hist.csv") if cfg.command == "simulate"),
-        cfg.output]
+    # The outputs in the order _write_all writes them. A samples CSV that would repeat a column and a target's missing
+    # directory are refused before the work, named as samples_csv and _write_all name them.
+    outputs = [] if cfg.output is None else [cfg.output]
+    if cfg.command == "simulate" and outputs:
+        _samples_header((d.name for d in chain.dimensions), chain.fc_name)
+        outputs[:0] = (cfg.output.parent / f"{cfg.output.stem}{suffix}" for suffix in (".samples.csv", ".hist.csv"))
     for path in outputs:
         try:
-            os.stat(path.parent)
+            os.stat(_target(path).parent)
         except FileNotFoundError as exc:
             raise OSError(exc.errno, exc.strerror, str(path)) from None
 
@@ -254,9 +257,7 @@ def run(cfg: RunConfig) -> int:
 
         rule = montecarlo.SigmaRule(cfg.sigma_rule)
         if cfg.command == "simulate":
-            if cfg.output is not None:  # a samples CSV that would repeat a column is refused before the draw
-                montecarlo._samples_header((d.name for d in chain.dimensions), chain.fc_name)
-            batch = montecarlo.sample_chain(chain, rule, cfg.samples, cfg.seed, workers=cfg.workers)
+            batch = montecarlo.sample_chain(chain, rule, cfg.samples, cfg.seed)
             report["result"] = montecarlo.batch_summary(chain, batch, rule, cfg.coverage_sigmas)
             if cfg.output is not None:
                 exports = [(outputs[0], montecarlo._samples_csv_blocks(batch)),

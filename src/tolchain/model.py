@@ -13,6 +13,8 @@ as ``9 +/-0.1`` has ``upper_dev=0.1, lower_dev=-0.1`` and one quoted as
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import numbers
@@ -20,7 +22,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 __all__ = [
     "ChainSyntaxError",
@@ -240,6 +242,18 @@ class ToleranceChain:
 
     def dimension(self, name: str) -> DimensionSpec:
         return self.dimensions[self.index_of(name)]
+
+
+def _samples_header(dimensions: Iterable[str], fc_name: str) -> str:
+    """The samples CSV's header line, or the ``ValueError`` of ``samples_csv`` if it would repeat a column name."""
+    names = ["index", *dimensions, fc_name]
+    # The dimension names differ, so only the index's or the condition's name can repeat.
+    for name in ("index", fc_name):
+        if names.count(name) > 1:
+            raise ValueError(f"the samples CSV would repeat the column {name!r}; rename the dimension or condition")
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(names)
+    return header.getvalue()
 
 
 def respecify(

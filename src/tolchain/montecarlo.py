@@ -10,13 +10,11 @@ the synthesis count, on at most N threads, gives the same counts for any N.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from contextlib import contextmanager
 from dataclasses import InitVar, asdict, dataclass, field
 from functools import partial
-from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -27,6 +25,7 @@ from .model import (
     FunctionalCondition,
     IntervalResult,
     ToleranceChain,
+    _samples_header,
     as_real,
     check,
     usable_cores,
@@ -406,20 +405,6 @@ def sample_chain(
                        moments=moments, fc_samples=fc, fc_name=chain.fc_name)
 
 
-@contextmanager
-def _chunk_jobs(n: int, workers: int) -> Iterator[Callable[[Callable], Any]]:
-    """``run``, where ``run(job)`` is the sum of ``job(start, stop)`` over ``min(workers, usable cores, n)`` equal,
-    contiguous parts of [0, n): the caller counts the first while a pool counts the rest, as ``Executor.map`` submits
-    them all before it returns and ``sum``'s arguments run left to right. One part hands the pool nothing."""
-    from concurrent.futures import ThreadPoolExecutor  # here, so that only the count loads the pool's modules
-
-    check("workers", workers)
-    threads = min(workers, usable_cores(), n)
-    cuts = [n * k // threads for k in range(threads + 1)]
-    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
-        yield lambda job: sum(pool.map(job, cuts[1:-1], cuts[2:]), job(cuts[0], cuts[1]))
-
-
 def _streams(chain: ToleranceChain, rule: SigmaRule) -> dict[str, tuple[int, float, DistributionParams]]:
     """Each dimension's ``(stream index, coefficient, distribution)`` by name, in chain order."""
     worst_case(chain)  # an overflow is the chain's fault, as in analyze
@@ -509,33 +494,45 @@ def scrap_rate(samples: Sequence[float] | np.ndarray, condition: FunctionalCondi
 _COUNT_ROWS = 16384
 
 
-def _scrap_counts(chain: ToleranceChain, rule: SigmaRule, seed: int, run: Callable) -> ScrapReport:
-    """``scrap_rate(sample_chain(chain, rule, n, seed).fc_samples, chain.condition)`` for the ``n`` rows of ``run``
-    (from ``_chunk_jobs``), by one job per thread's part of the rows, which holds a block of every dimension and
-    transforms its undecided rows each time they fill a block, and at its end. The condition must have a bound.
+@contextmanager
+def _scrap_counter(n: int, workers: int) -> Iterator[Callable[[ToleranceChain, SigmaRule, int], ScrapReport]]:
+    """``count``, where ``count(chain, rule, seed)`` is ``scrap_rate(sample_chain(chain, rule, n, seed).fc_samples,
+    chain.condition)`` without holding the samples; the condition must have a bound. [0, n) is cut into ``min(workers,
+    usable cores, n)`` equal, contiguous parts, and one pool of one thread fewer (at least one) serves the whole
+    ``with``. A count's caller counts the first part while the pool counts the rest, as ``Executor.map`` submits them
+    all before it returns and ``sum``'s arguments run left to right; one part hands the pool nothing.
 
-    Each draw's bucket brackets its term: the bucket's ``_BRACKET`` edges
-    carried through the sampler's own steps. The terms' brackets add up in chain
-    order, and IEEE rounding is monotone, so a row's bracket holds its sample.
+    Each draw's bucket brackets its term: the bucket's ``_BRACKET`` edges carried through the sampler's own steps.
+    The terms' brackets add up in chain order, and IEEE rounding is monotone, so a row's bracket holds its sample.
     Only a row whose bracket has a NaN end or straddles a bound is drawn exactly.
     """
-    # Rows sigma, mean and coefficient, each a column over the dimensions.
-    columns = np.array([(p.sigma, p.mean, c) for _, c, p in _streams(chain, rule).values()]).T[:, :, None]
-    sigma, mean, coefficient = columns[..., None]
-    tables = np.where(coefficient < 0.0, _BRACKET[:, ::-1], _BRACKET)  # the low edge's term is the greater
-    with np.errstate(over="ignore", invalid="ignore"):  # an edge may overflow where no draw does
-        tables *= sigma
-        tables += mean
-        tables *= coefficient
-    return ScrapReport(*run(partial(_count_rows, seed, tables, columns, chain.condition.bounds)).tolist())
+    from concurrent.futures import ThreadPoolExecutor  # here, so that only the count loads the pool's modules
+
+    check("workers", workers)
+    threads = min(workers, usable_cores(), n)
+    cuts = [n * k // threads for k in range(threads + 1)]
+
+    def count(chain: ToleranceChain, rule: SigmaRule, seed: int) -> ScrapReport:
+        # Rows sigma, mean and coefficient, each a column over the dimensions.
+        columns = np.array([(p.sigma, p.mean, c) for _, c, p in _streams(chain, rule).values()]).T[:, :, None]
+        sigma, mean, coefficient = columns[..., None]
+        tables = np.where(coefficient < 0.0, _BRACKET[:, ::-1], _BRACKET)  # the low edge's term is the greater
+        with np.errstate(over="ignore", invalid="ignore"):  # an edge may overflow where no draw does
+            tables *= sigma
+            tables += mean
+            tables *= coefficient
+        job = partial(_count_rows, seed, tables, columns, chain.condition.bounds)
+        return ScrapReport(*sum(pool.map(job, cuts[1:-1], cuts[2:]), job(cuts[0], cuts[1])).tolist())
+
+    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
+        yield count
 
 
 def _count_rows(seed: int, tables: np.ndarray, columns: np.ndarray, bounds: tuple[float, float], start: int,
                 stop: int) -> np.ndarray:
-    """``(rows, below, above, NaN)`` counts of the samples on rows [start, stop), as int64: the brackets block by
-    block, then the undecided rows by one transform each time they fill a block, and at the end. ``tables[d]``
-    holds dimension d's least and greatest term by bucket, and ``columns`` the dimensions' sigma, mean and
-    coefficient."""
+    """``(rows, below, above, NaN)`` counts of the samples on rows [start, stop), as int64: the brackets block by block,
+    then the undecided rows by one transform each time they fill a block, and at the end. ``tables[d]`` holds
+    dimension d's least and greatest term by bucket, and ``columns`` the dimensions' sigma, mean and coefficient."""
     low, high = bounds
     sigma, mean, coefficient = columns
     block = min(_COUNT_ROWS, stop - start)
@@ -623,18 +620,6 @@ def samples_csv(batch: SampleBatch, start: int = 0, stop: int | None = None) -> 
         block = np.column_stack([np.arange(lo, hi), *batch.per_dimension.rows(lo, hi - lo), batch.fc_samples[lo:hi]])
         parts.append(row * (hi - lo) % tuple(block.ravel().tolist()))
     return "".join(parts)
-
-
-def _samples_header(dimensions: Iterable[str], fc_name: str) -> str:
-    """The samples CSV's header line, or the ``ValueError`` of ``samples_csv`` if it would repeat a column name."""
-    names = ["index", *dimensions, fc_name]
-    # The dimension names differ, so only the index's or the condition's name can repeat.
-    for name in ("index", fc_name):
-        if names.count(name) > 1:
-            raise ValueError(f"the samples CSV would repeat the column {name!r}; rename the dimension or condition")
-    header = io.StringIO()
-    csv.writer(header, lineterminator="\n").writerow(names)
-    return header.getvalue()
 
 
 def _samples_csv_blocks(batch: SampleBatch) -> Iterator[str]:

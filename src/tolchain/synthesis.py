@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Any, Iterable
 
 from .model import DEFAULTS, MAX_SEED, DimensionSpec, ToleranceChain, chain_document, check, respecify
-from .montecarlo import ScrapReport, SigmaRule, _chunk_jobs, _scrap_counts, analytic_scrap
+from .montecarlo import ScrapReport, SigmaRule, _scrap_counter, analytic_scrap
 
 __all__ = [
     "IterationRecord",
@@ -157,9 +157,9 @@ def synthesize(
 
     current = chain
     records: list[IterationRecord] = []
-    with _chunk_jobs(cfg.n_per_iteration, workers) as run:
+    with _scrap_counter(cfg.n_per_iteration, workers) as count:
         for k in range(cfg.max_iterations):
-            report = _scrap_counts(current, rule, (int(cfg.seed) + k) % MAX_SEED, run)
+            report = count(current, rule, (int(cfg.seed) + k) % MAX_SEED)
             effective, source = report.scrap_rate, "estimate"
             if report.scrap_rate == 0.0 and cfg.target_scrap <= 3.0 / cfg.n_per_iteration:
                 effective, source = analytic_scrap(current, rule), "analytic"

@@ -415,6 +415,16 @@ class TestSimulate:
         expected = f"tolchain: [Errno 2] No such file or directory: '{output.parent / named}'\n"
         assert run_cli([*argv, "--chain", str(chain_file), "--output", str(output)], capsys) == (2, "", expected)
 
+    @pytest.mark.parametrize("argv", [["simulate"], ["synthesize", "--target-scrap", "1e-3"]],
+                             ids=["simulate", "synthesize"])
+    def test_output_symlinked_into_a_missing_directory_is_refused_before_the_work(self, chain_file, tmp_path, capsys,
+                                                                                   no_work, argv):
+        # The report is staged beside the link's target, so the target's directory is the one checked.
+        link = tmp_path / "link.json"
+        link.symlink_to(tmp_path / "missing" / "r.json")
+        expected = f"tolchain: [Errno 2] No such file or directory: '{link}'\n"
+        assert run_cli([*argv, "--chain", str(chain_file), "--output", str(link)], capsys) == (2, "", expected)
+
     def test_file_in_place_of_the_output_directory_fails_at_the_write(self, chain_file, tmp_path, capsys):
         # Only a missing directory is refused early; any other write failure is found when the outputs are written.
         (tmp_path / "file").write_text("")

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import tolchain
+from conftest import ACTUATOR_DOC
 from tolchain import model, montecarlo, synthesis, worstcase
 
 # Runs one CLI call in a fresh interpreter and prints which of numpy, scipy,
@@ -56,6 +57,15 @@ def _run(script, argv=()):
 def test_only_sampling_commands_load_numpy_and_openssl(actuator_file, tmp_path, argv, loaded):
     result = _run(_PROBE, [*argv, "--chain", str(actuator_file), "--output", str(tmp_path / "r.json")])
     assert result == {"code": 0, "loaded": loaded}
+
+
+def test_repeated_samples_column_is_refused_before_numpy_loads(tmp_path):
+    doc = {**ACTUATOR_DOC, "dimensions": [{**ACTUATOR_DOC["dimensions"][0], "name": "index"},
+                                          *ACTUATOR_DOC["dimensions"][1:]]}
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(doc), encoding="utf-8")
+    result = _run(_PROBE, ["simulate", "--chain", str(chain), "--output", str(tmp_path / "r.json")])
+    assert result == {"code": 2, "loaded": []}
 
 
 def test_chain_hash_falls_back_to_hashlib(actuator_file, tmp_path):

@@ -67,8 +67,8 @@ def overflowing_chain():
 
 
 def scrap_counts(chain, rule, n, seed, workers):
-    with montecarlo._chunk_jobs(n, workers) as run:
-        return montecarlo._scrap_counts(chain, rule, seed, run)
+    with montecarlo._scrap_counter(n, workers) as count:
+        return count(chain, rule, seed)
 
 
 def tight(chain):
@@ -326,7 +326,7 @@ class TestSampleChain:
         with pytest.raises(ValueError, match=blamed):
             sample_chain(chain, rule, bad.get("n", 10), bad.get("seed", 1), workers=bad.get("workers", 1))
 
-    def test_scrap_counts_reject_an_overflowing_chain(self):
+    def test_scrap_count_rejects_an_overflowing_chain(self):
         chain = replace(overflowing_chain(), condition=FunctionalCondition("J", 0.0, 1.0))
         with pytest.raises(ChainValidationError, match="interval max must be finite"):
             scrap_counts(chain, IT6, 10, 1, 1)
@@ -412,39 +412,42 @@ class TestSampleChain:
 
     @pytest.mark.parametrize("n", [1, 5, 65_541, 100_003])
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_chunk_jobs_cover_the_rows_in_order(self, monkeypatch, n, workers):
+    def test_scrap_counter_covers_the_rows_in_order(self, actuator_chain, monkeypatch, n, workers):
         # One contiguous part per thread, the threads capped at the cores and at
         # n: the caller counts the part at row 0, and pool threads the others.
+        # Each part counts its rows and one row below, so the report sums every
+        # part once.
         monkeypatch.setattr(montecarlo, "usable_cores", lambda: 3)
         spans, caller = [], threading.get_ident()
 
-        def job(start, stop):
+        def count_part(seed, tables, columns, bounds, start, stop):
             spans.append((start, stop))
             assert (threading.get_ident() == caller) == (start == 0)
-            return np.array([start, stop])
+            return np.array([stop - start, 1, 0, 0])
 
-        with montecarlo._chunk_jobs(n, workers) as run:
-            total = run(job)
+        monkeypatch.setattr(montecarlo, "_count_rows", count_part)
+        total = scrap_counts(actuator_chain, IT6, n, 7, workers)
         spans.sort()
         assert len(spans) == min(workers, 3, n)
         assert spans[0][0] == 0 and spans[-1][1] == n
         assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
         sizes = [stop - start for start, stop in spans]
         assert max(sizes) - min(sizes) <= 1
-        assert total.tolist() == [sum(start for start, _ in spans), sum(stop for _, stop in spans)]
+        assert (total.n, total.below, total.above) == (sum(sizes), len(spans), 0)
 
     def test_chunk_plan_holds_nothing_per_chunk(self):
         # 1e11 rows at 2 threads are 2 parts; entering the plan holds their cuts and nothing per row.
         def enter():
-            with montecarlo._chunk_jobs(10**11, 2):
+            with montecarlo._scrap_counter(10**11, 2):
                 pass
 
         assert traced_peak(enter) < 64 * 1024
 
-    def test_chunk_map_holds_nothing_per_row(self, monkeypatch):
-        # 2e8 rows at 2 threads are 2 parts, and run sums the jobs' counts: the
-        # caller counts the first, the pool is handed the second, and nothing is
-        # held per row.
+    def test_chunk_map_holds_nothing_per_row(self, actuator_chain, monkeypatch):
+        # 2e8 rows at 2 threads are 2 parts, and a count sums the parts' counts:
+        # the caller counts the first, the pool is handed the second, and nothing
+        # is held per row. The count builds the chain's tables, so the bound is on
+        # what 2e8 rows add to the peak of the same count at 2 rows.
         monkeypatch.setattr(montecarlo, "usable_cores", lambda: 2)
         handed = []
 
@@ -454,21 +457,22 @@ class TestSampleChain:
                 handed.extend(items)
                 return super().map(lambda item: fn(*item), items)
 
-        def job(start, stop):
+        def count_part(seed, tables, columns, bounds, start, stop):
             if threading.get_ident() == caller:
                 counted.append((start, stop))
-            return np.zeros(4, np.int64)
+            return np.array([stop - start, 0, 0, 0])
 
-        def enter_and_run():
-            with montecarlo._chunk_jobs(2 * 10**8, 2) as run:
-                run(job)
+        def enter_and_count(n):
+            return lambda: scrap_counts(actuator_chain, IT6, n, 7, 2)
 
         caller, counted = threading.get_ident(), []
-        assert traced_peak(enter_and_run) < 64 * 1024
+        monkeypatch.setattr(montecarlo, "_count_rows", count_part)
+        enter_and_count(2)()  # so that neither peak holds what a first count sets up once
+        assert traced_peak(enter_and_count(2 * 10**8)) - traced_peak(enter_and_count(2)) < 64 * 1024
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-        enter_and_run()
+        enter_and_count(2 * 10**8)()
         assert handed == [(10**8, 2 * 10**8)]
-        assert counted == [(0, 10**8)] * 2  # once in each run
+        assert counted == [(0, 1), (0, 10**8), (0, 1), (0, 10**8)]  # once in each count
 
     def test_workers_default_to_the_usable_cores(self):
         assert inspect.signature(sample_chain).parameters["workers"].default == model.usable_cores()
@@ -523,7 +527,7 @@ class TestSampleChain:
     @pytest.mark.parametrize("n", [1, 4097, 65_541, 100_003, 200_003])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("bounds", ["actuator", "tight"])
-    def test_scrap_counts_equal_sample_chains(self, actuator_chain, n, workers, bounds):
+    def test_scrap_count_equals_sample_chains(self, actuator_chain, n, workers, bounds):
         chain = tight(actuator_chain) if bounds == "tight" else actuator_chain
         report = scrap_rate(sample_chain(chain, IT6, n, 7, workers=workers).fc_samples, chain.condition)
         assert scrap_counts(chain, IT6, n, 7, workers) == report
@@ -548,7 +552,7 @@ class TestSampleChain:
         ids=["wide", "signed-zero", "zero-width", "overflow", "inf-minus-inf"],
     )
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_scrap_counts_on_edge_chains(self, chain, rule, workers):
+    def test_scrap_count_on_edge_chains(self, chain, rule, workers):
         def outcome(count):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # numpy's warning of a draw that overflows
@@ -605,8 +609,8 @@ class TestSampleChain:
         monkeypatch.setattr(montecarlo, "_COUNT_ROWS", rows)
 
         def peak(n):
-            with montecarlo._chunk_jobs(n, 1) as run:
-                return traced_peak(lambda: montecarlo._scrap_counts(chain, IT6, 3, run))
+            with montecarlo._scrap_counter(n, 1) as count:
+                return traced_peak(lambda: count(chain, IT6, 3))
 
         small, large = peak(n), peak(10 * n)
         assert large <= 1.1 * small

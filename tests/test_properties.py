@@ -136,8 +136,8 @@ def check_scrap_count_equals_the_samples(chain, offset, width, kept, n, seed, wo
     high = params.mean + (offset + width) / 10.0 * params.sigma
     condition = FunctionalCondition("J", low if kept != "max" else None, high if kept != "min" else None)
     chain = replace(chain, condition=condition)
-    with montecarlo._chunk_jobs(n, workers) as run:
-        counted = montecarlo._scrap_counts(chain, IT6, seed, run)
+    with montecarlo._scrap_counter(n, workers) as count:
+        counted = count(chain, IT6, seed)
     assert counted == scrap_rate(sample_chain(chain, IT6, n, seed).fc_samples, condition)
 
 

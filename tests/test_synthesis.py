@@ -13,7 +13,7 @@ import pytest
 from scipy.special import ndtri
 
 from conftest import counted_transforms, make_actuator_chain
-from tolchain import montecarlo, synthesis
+from tolchain import montecarlo
 from tolchain.model import MAX_COUNT, MAX_SEED
 from tolchain import (
     ChainValidationError,
@@ -345,21 +345,22 @@ class TestSynthesizeSampling:
         assert threading.get_ident() in threads
 
     def test_pool_is_shut_down_when_an_iteration_raises(self, actuator_chain, pools, monkeypatch):
-        calls = []
-        count = montecarlo._scrap_counts
+        # Both parts of the second iteration, at seed 3, raise; the pool runs its part though the caller's raised.
+        seeds, count = [], montecarlo._count_rows
 
-        def second_call_fails(*args):
-            calls.append(args)
-            if len(calls) == 2:
+        def second_iteration_fails(seed, *args):
+            seeds.append(seed)
+            if seed == 3:
                 raise RuntimeError("second iteration fails")
-            return count(*args)
+            return count(seed, *args)
 
-        monkeypatch.setattr(synthesis, "_scrap_counts", second_call_fails)
+        monkeypatch.setattr(montecarlo, "_count_rows", second_iteration_fails)
         cfg = SynthesisConfig(target_scrap=0.001, n_per_iteration=20_000, seed=2, max_iterations=5)
         with pytest.raises(RuntimeError, match="second iteration fails"):
             synthesize(actuator_chain, IT6, cfg, workers=2)
         assert len(pools) == 1
         assert pools[0].shut
+        assert sorted(seeds) == [2, 2, 3, 3]
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_one_transform_per_count_job(self, actuator_chain, monkeypatch, cores):
